@@ -3,23 +3,31 @@ B (signed permutations), and D (even-signed permutations).
 
 Groups are enumerated through the code bijections (Lehmer for A, signed
 Lehmer for B, the deletion code for D), which gives every element a rank in
-a mixed-radix numeral system.  Enumeration therefore supports deterministic
-order, O(1) range splitting, and flat arrays indexed by rank.  Supported
-ranks: A up to 9, B up to 8, D from 2 up to 8; anything larger is refused
-outright rather than truncated.
+a mixed-radix numeral system: code entry c_i is a digit, c_1 the least
+significant.  Rank order is therefore the product order of the entries'
+value lists with c_n outermost, which supports deterministic order, range
+splitting, and flat arrays indexed by rank.  Supported ranks: A up to 9,
+B up to 8, D from 2 up to 8; anything larger is refused outright rather
+than truncated.
 
 Named checks (see CHECKS) re-prove the equidistribution and transport
 identities by direct evaluation on every element; their results are report
-payloads, never exceptions.
+payloads, never exceptions.  Each distribution check runs one sweep (see
+sweep) over the union of the statistics it compares: the group is
+enumerated once, every statistic is evaluated once per element, and each
+joint distribution in the report is counted in that pass.  A report's
+``checked`` counts element x pair comparisons (twice the group order for a
+generating-function check), not elements enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import perm_a, perm_b, perm_d, qpoly
@@ -33,6 +41,7 @@ __all__ = [
     "unrank",
     "rank",
     "enumerate_group",
+    "sweep",
     "integer_statistic",
     "set_statistic",
     "integer_statistic_names",
@@ -84,29 +93,29 @@ def identity_of(family: str, n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
 
-def _radices(family: str, n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _code_values(family: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """The values of code entries c_1..c_n, each listed in digit order.
+
+    Digit d of c_i is values[i - 1][d].  In B and D digits 0..i-1 are the
+    entries 1..i and digits i..2i-1 the barred entries -1..-i; D fixes c_1 = 1.
+    """
     if family == "A":
-        return list(range(1, n + 1))
-    if family == "B":
-        return [2 * i for i in range(1, n + 1)]
-    return [1] + [2 * i for i in range(2, n + 1)]
-
-
-def _digit_to_entry(d: int, i: int) -> int:
-    # digits 0..i-1 are the positive entries 1..i, digits i..2i-1 the barred
-    return d + 1 if d < i else -(d - i + 1)
-
-
-def _entry_to_digit(c: int, i: int) -> int:
-    return c - 1 if c > 0 else i - c - 1
+        return tuple(tuple(range(1, i + 1)) for i in range(1, n + 1))
+    values = tuple(
+        tuple(range(1, i + 1)) + tuple(range(-1, -i - 1, -1)) for i in range(1, n + 1)
+    )
+    return ((1,),) + values[1:] if family == "D" else values
 
 
 def _decoder(family: str) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The unchecked core of the ranking code's decoder: enumeration builds
+    codes from the entry value lists, so they are valid by construction."""
     if family == "A":
-        return perm_a.lehmer_decode
+        return perm_a._lehmer_decode
     if family == "B":
-        return perm_b.lehmer_b_decode
-    return perm_d.ecode_decode
+        return perm_b._lehmer_b_decode
+    return perm_d._ecode_decode
 
 
 def _encoder(family: str) -> Callable[[Sequence[int]], tuple[int, ...]]:
@@ -122,15 +131,11 @@ def unrank(family: str, n: int, r: int) -> tuple[int, ...]:
     order = group_order(family, n)
     if not 0 <= r < order:
         raise ValueError(f"rank {r} outside 0..{order - 1}")
-    digits = []
-    for radix in _radices(family, n):
-        r, d = divmod(r, radix)
-        digits.append(d)
-    if family == "A":
-        code = tuple(d + 1 for d in digits)
-    else:
-        code = tuple(_digit_to_entry(d, i) for i, d in enumerate(digits, 1))
-    return _decoder(family)(code)
+    code = []
+    for values in _code_values(family, n):
+        r, d = divmod(r, len(values))
+        code.append(values[d])
+    return _decoder(family)(tuple(code))
 
 
 def rank(family: str, n: int, element: Sequence[int]) -> int:
@@ -139,10 +144,9 @@ def rank(family: str, n: int, element: Sequence[int]) -> int:
     code = _encoder(family)(tuple(element))
     r = 0
     place = 1
-    for i, (c, radix) in enumerate(zip(code, _radices(family, n)), 1):
-        d = c - 1 if family == "A" else _entry_to_digit(c, i)
-        r += d * place
-        place *= radix
+    for c, values in zip(code, _code_values(family, n)):
+        r += values.index(c) * place
+        place *= len(values)
     return r
 
 
@@ -159,18 +163,12 @@ def enumerate_group(
         stop = order
     if not 0 <= start <= stop <= order:
         raise ValueError(f"bad range [{start}, {stop}) for order {order}")
-    decode = _decoder(family)
-    radices = _radices(family, n)
-    for r in range(start, stop):
-        digits = []
-        for radix in radices:
-            r, d = divmod(r, radix)
-            digits.append(d)
-        if family == "A":
-            code = tuple(d + 1 for d in digits)
-        else:
-            code = tuple(_digit_to_entry(d, i) for i, d in enumerate(digits, 1))
-        yield decode(code)
+    # product() varies its last factor fastest, so with the entry lists in
+    # reverse it yields codes c_n..c_1 in rank order; islice reaches start by
+    # skipping codes, which costs a chunk well under 1% of its sweep
+    codes = itertools.product(*reversed(_code_values(family, n)))
+    reverse = itemgetter(slice(None, None, -1))
+    yield from map(_decoder(family), map(reverse, itertools.islice(codes, start, stop)))
 
 
 INTEGER_STATISTICS: dict[str, dict[str, Callable]] = {
@@ -260,55 +258,101 @@ def set_statistic_names(family: str) -> list[str]:
     return sorted(SET_STATISTICS[family])
 
 
-def _joint_terms(family, n, name1, name2, start, stop):
-    _, f1 = integer_statistic(family, name1)
-    _, f2 = integer_statistic(family, name2)
-    terms: dict[tuple[int, int], int] = {}
-    for el in enumerate_group(family, n, start, stop):
-        key = (f1(el), f2(el))
-        terms[key] = terms.get(key, 0) + 1
-    return terms
+def _check_workers(workers) -> None:
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+
+
+def _statistic_name(family: str, name: str) -> str:
+    """Canonical name of an integer or set statistic of the family."""
+    if _STAT_ALIASES.get(name, name) in SET_STATISTICS[family]:
+        return set_statistic(family, name)[0]
+    return integer_statistic(family, name)[0]
+
+
+def sweep(family: str, n: int, names: Sequence[str], workers: int = 1) -> Counter:
+    """Count the tuple of the named statistics' values over the whole group.
+
+    The group is enumerated once and each named statistic (integer or set)
+    is evaluated once per element; set values are stored as sorted tuples.
+    With workers > 1 the rank range is split into one chunk per worker
+    process and the chunks' counts are added; addition is associative and
+    commutative, so the result is identical to the sequential run.
+
+    >>> sorted(sweep("A", 2, ["inv", "Cyc"]).items())
+    [((0, (1, 2)), 1), ((1, (1,)), 1)]
+    """
+    return _sweep(family, n, [names], workers)[0]
+
+
+# elements evaluated together: bounds a sweep's working memory, whatever the
+# group order
+_BLOCK = 1024
+
+
+def _sweep(family, n, groups, workers) -> list[Counter]:
+    """One sweep over the union of the groups' statistics, counting the value
+    tuple of each group of names separately.
+
+    A check that compares several pairs counts each pair here, not the tuple
+    of their union, so its memory is that of its pair tables; sweep is the
+    case of a single group.
+    """
+    order = group_order(family, n)
+    _check_workers(workers)
+    groups = [tuple(_statistic_name(family, name) for name in g) for g in groups]
+    if not all(groups):
+        raise ValueError("a sweep needs at least one statistic")
+    names = tuple(dict.fromkeys(name for g in groups for name in g))
+    places = tuple(tuple(names.index(name) for name in g) for g in groups)
+    if workers == 1 or order < 4 * workers:
+        return _sweep_range(family, n, names, places, 0, order)
+    # imported here, not at the top, so that a CLI start does not pay for it
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [order * k // workers for k in range(workers + 1)]
+    chunks = [
+        (family, n, names, places, bounds[k], bounds[k + 1]) for k in range(workers)
+    ]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = pool.map(_sweep_range, *zip(*chunks))
+        totals = next(parts)
+        for part in parts:
+            for total, counts in zip(totals, part):
+                total.update(counts)
+    return totals
+
+
+def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
+    """The sweep over ranks start..stop-1; names are canonical, and they, not
+    the statistic functions, are what crosses into a worker process."""
+    counts = [Counter() for _ in places]
+    elements = enumerate_group(family, n, start, stop)
+    while block := list(itertools.islice(elements, _BLOCK)):
+        columns = []
+        for name in names:
+            if name in SET_STATISTICS[family]:
+                values = map(SET_STATISTICS[family][name], block)
+                columns.append(list(map(tuple, map(sorted, values))))
+            else:
+                columns.append(list(map(INTEGER_STATISTICS[family][name], block)))
+        for count, place in zip(counts, places):
+            count.update(zip(*(columns[i] for i in place)))
+    return counts
 
 
 def joint_distribution(
     family: str, n: int, stat1: str, stat2: str, workers: int = 1
 ) -> QT:
-    """Sum of q^stat1(s) * t^stat2(s) over the whole group.
-
-    With workers > 1 the rank range is split into chunks computed in
-    separate processes and merged by polynomial addition; the merge is
-    associative and commutative, so the result is identical to the
-    sequential run.
-    """
-    order = group_order(family, n)
-    integer_statistic(family, stat1)
-    integer_statistic(family, stat2)
-    if workers <= 1 or order < 4 * workers:
-        return QT(_joint_terms(family, n, stat1, stat2, 0, order))
-    bounds = [order * k // workers for k in range(workers + 1)]
-    args = [
-        (family, n, stat1, stat2, bounds[k], bounds[k + 1])
-        for k in range(workers)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(_joint_terms, *zip(*args)))
-    out = qpoly.zero()
-    for terms in chunks:
-        out = out + QT(terms)
-    return out
+    """Sum of q^stat1(s) * t^stat2(s) over the whole group: a two-name sweep."""
+    names = [integer_statistic(family, stat)[0] for stat in (stat1, stat2)]
+    return QT(sweep(family, n, names, workers))
 
 
-def set_pair_distribution(
-    family: str, n: int, stat1: str, stat2: str
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+def set_pair_distribution(family: str, n: int, stat1: str, stat2: str) -> Counter:
     """Multiset of (stat1(s), stat2(s)) pairs, sets stored as sorted tuples."""
-    _, f1 = set_statistic(family, stat1)
-    _, f2 = set_statistic(family, stat2)
-    out: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for el in enumerate_group(family, n):
-        key = (tuple(sorted(f1(el))), tuple(sorted(f2(el))))
-        out[key] = out.get(key, 0) + 1
-    return out
+    names = [set_statistic(family, stat)[0] for stat in (stat1, stat2)]
+    return sweep(family, n, names)
 
 
 @dataclass
@@ -534,8 +578,7 @@ def _report(name, family, n, passed, checked, counterexample=None, details=None)
 
 
 def _check_gf(name, family, n, pair1, pair2, product, workers):
-    d1 = joint_distribution(family, n, pair1[0], pair1[1], workers)
-    d2 = joint_distribution(family, n, pair2[0], pair2[1], workers)
+    d1, d2 = map(QT, _sweep(family, n, (pair1, pair2), workers))
     passed = d1 == d2 == product
     details = {
         f"joint({pair1[0]}, {pair1[1]})": d1.text(),
@@ -567,8 +610,11 @@ def _check_type_d_bivariate(n, workers=1):
 
 
 def _check_type_d_mahonian(n, workers=1):
-    d1 = joint_distribution("D", n, "inv_D", "nmin_D", workers).eval_t1()
-    d2 = joint_distribution("D", n, "sor_D", "lt'_D", workers).eval_t1()
+    # the report holds only the t = 1 specializations of the type-d-bivariate
+    # joints, so their t-statistics nmin_D and lt'_D are never evaluated
+    inv, sor = _sweep("D", n, [("inv_D",), ("sor_D",)], workers)
+    d1 = QT({(q, 0): count for (q,), count in inv.items()})
+    d2 = QT({(q, 0): count for (q,), count in sor.items()})
     product = qpoly.gf_type_d_univariate(n)
     passed = d1 == d2 == product
     details = {
@@ -582,9 +628,7 @@ def _check_type_d_mahonian(n, workers=1):
 
 
 def _check_four_pairs(name, family, n, pairs, workers):
-    dists = [
-        (p, joint_distribution(family, n, p[0], p[1], workers)) for p in pairs
-    ]
+    dists = list(zip(pairs, map(QT, _sweep(family, n, pairs, workers))))
     base = dists[0][1]
     passed = all(d == base for _, d in dists)
     details = {f"joint({a}, {b})": d.text() for (a, b), d in dists}
@@ -608,9 +652,9 @@ def _check_type_b_four_pairs(n, workers=1):
     return _check_four_pairs("type-b-four-pairs", "B", n, pairs, workers)
 
 
-def _check_set_pairs(name, family, n, stats):
+def _check_set_pairs(name, family, n, stats, workers):
     pairs = [(a, b) for a in stats for b in stats if a != b]
-    dists = [(p, set_pair_distribution(family, n, p[0], p[1])) for p in pairs]
+    dists = list(zip(pairs, _sweep(family, n, pairs, workers)))
     base = dists[0][1]
     counterexample = None
     for p, d in dists[1:]:
@@ -636,12 +680,14 @@ def _check_set_pairs(name, family, n, stats):
 
 
 def _check_type_a_set_pairs(n, workers=1):
-    return _check_set_pairs("type-a-set-pairs", "A", n, ("Cyc", "Lmap", "Rmil"))
+    return _check_set_pairs(
+        "type-a-set-pairs", "A", n, ("Cyc", "Lmap", "Rmil"), workers
+    )
 
 
 def _check_type_b_set_pairs(n, workers=1):
     return _check_set_pairs(
-        "type-b-set-pairs", "B", n, ("Cyc_B", "Lmap_B", "Rmil_B")
+        "type-b-set-pairs", "B", n, ("Cyc_B", "Lmap_B", "Rmil_B"), workers
     )
 
 
@@ -694,18 +740,6 @@ def _check_oracle(name, family, set_name, stat_name):
     return run
 
 
-def _code_spaces(family, n):
-    if family == "A":
-        return itertools.product(*(range(1, i + 1) for i in range(1, n + 1)))
-    values = []
-    for i in range(1, n + 1):
-        if family == "D" and i == 1:
-            values.append((1,))
-        else:
-            values.append(tuple(range(1, i + 1)) + tuple(range(-1, -i - 1, -1)))
-    return itertools.product(*values)
-
-
 _CODE_PAIRS = {
     "A": [
         ("lehmer", perm_a.lehmer_encode, perm_a.lehmer_decode),
@@ -729,7 +763,7 @@ def _check_codes(family):
         name = f"codes-{family.lower()}"
         pairs = _CODE_PAIRS[family]
         checked = 0
-        for code in _code_spaces(family, n):
+        for code in itertools.product(*_code_values(family, n)):
             for label, encode, decode in pairs:
                 checked += 1
                 if encode(decode(code)) != code:
@@ -785,4 +819,5 @@ def run_check(name: str, n: int, workers: int = 1) -> VerifyReport:
         raise ValueError(
             f"unknown check {name!r}; choose from: " + ", ".join(sorted(CHECKS))
         )
+    _check_workers(workers)
     return CHECKS[name](n, workers=workers)

@@ -63,7 +63,7 @@ def is_permutation(images: Sequence[int]) -> bool:
     n = len(images)
     seen = [False] * (n + 1)
     for v in images:
-        if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
+        if isinstance(v, bool) or not isinstance(v, int) or not 1 <= v <= n or seen[v]:
             return False
         seen[v] = True
     return True
@@ -196,7 +196,7 @@ def validate_code(code: Iterable[int]) -> Code:
     """Check 1 <= c_i <= i for every entry."""
     c = tuple(code)
     for i, ci in enumerate(c, 1):
-        if not isinstance(ci, int) or not 1 <= ci <= i:
+        if isinstance(ci, bool) or not isinstance(ci, int) or not 1 <= ci <= i:
             raise ValueError(f"code entry c_{i}={ci} outside 1..{i}")
     return c
 
@@ -215,13 +215,15 @@ def lehmer_encode(s: Perm) -> Code:
 
 def lehmer_decode(code: Sequence[int]) -> Perm:
     """Inverse of lehmer_encode; raises ValueError on an out-of-range entry."""
-    c = validate_code(code)
-    n = len(c)
-    pool = list(range(1, n + 1))
-    out = [0] * n
+    return _lehmer_decode(validate_code(code))
+
+
+def _lehmer_decode(c: Code) -> Perm:
+    """lehmer_decode of a code already known to be valid."""
+    pool = list(range(1, len(c) + 1))
     # c_n pins s(n) among all n values, c_{n-1} among the rest, and so on.
-    for i in range(n, 0, -1):
-        out[i - 1] = pool.pop(c[i - 1] - 1)
+    out = [pool.pop(ci - 1) for ci in reversed(c)]
+    out.reverse()
     return tuple(out)
 
 

@@ -18,6 +18,7 @@ a = j are accepted as identity markers but never produced.
 
 from __future__ import annotations
 
+from bisect import bisect, insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -69,7 +70,7 @@ def is_signed_permutation(images: Sequence[int]) -> bool:
     n = len(images)
     seen = [False] * (n + 1)
     for v in images:
-        if not isinstance(v, int):
+        if isinstance(v, bool) or not isinstance(v, int):
             return False
         a = abs(v)
         if not 1 <= a <= n or seen[a]:
@@ -140,18 +141,21 @@ def inv_b(s: SignedPerm) -> int:
     >>> inv_b((2, -4, 5, 1, -3))
     13
     """
-    n = len(s)
+    return _pair_inversions(s) + neg_count(s)  # i == j counts the bars
+
+
+def _pair_inversions(s: SignedPerm) -> int:
+    """Pairs i < j with s(i) > s(j), plus pairs i < j with -s(i) > s(j).
+
+    This is the type-D inversion number; inv_b adds the bars.  One pass that
+    keeps the letters seen so far sorted; absolute values are distinct, so
+    neither s(j) nor -s(j) ties with an earlier letter.
+    """
+    seen: list[int] = []
     total = 0
-    for i in range(n):
-        si = s[i]
-        if si < 0:
-            total += 1  # the i == j case of the second sum
-        for j in range(i + 1, n):
-            sj = s[j]
-            if si > sj:
-                total += 1
-            if -si > sj:
-                total += 1
+    for j, x in enumerate(s):
+        total += j - bisect(seen, x) + bisect(seen, -x)
+        insort(seen, x)
     return total
 
 
@@ -202,7 +206,39 @@ def sor_b(s: SignedPerm) -> int:
     >>> sor_b((5, -4, -3, 1, -2))
     16
     """
-    return sum(factor_weight_b(a, j) for a, j in selection_sort_factorization(s))
+    return _sorting_weight(s, 1)
+
+
+def _sorting_weight(s: SignedPerm, bar_weight: int) -> int:
+    """Total weight of selection_sort_factorization(s) when a factor (a, j)
+    weighs j - a, minus bar_weight when a is barred (1 in type B, 2 in D).
+
+    Runs the same selection sort in one pass, finding +-j through an array of
+    places instead of a scan, and sums the weights without building factors.
+    """
+    w = list(s)
+    n = len(w)
+    place = [0] * (n + 1)
+    for p, v in enumerate(w, 1):
+        place[v if v > 0 else -v] = p
+    total = 0
+    for j in range(n, 0, -1):
+        x = w[j - 1]
+        if x == j:
+            continue
+        i = place[j]
+        # place j is never read again, so only the letter leaving it moves
+        if i == j:  # -j at home: the sign change (-j, j)
+            total += 2 * j - bar_weight
+        elif w[i - 1] == j:  # factor (i, j)
+            total += j - i
+            w[i - 1] = x
+            place[x if x > 0 else -x] = i
+        else:  # -j at place i: factor (-i, j), flipping both letters
+            total += j + i - bar_weight
+            w[i - 1] = -x
+            place[x if x > 0 else -x] = i
+    return total
 
 
 @dataclass(frozen=True)
@@ -242,16 +278,39 @@ def signed_cycle_decomposition(s: SignedPerm) -> tuple[SignedCycle, ...]:
     return tuple(out)
 
 
+def _balanced_minima(s: SignedPerm) -> list[int]:
+    """Minima of the balanced cycles of s, in increasing order.
+
+    The same walk as signed_cycle_decomposition, counting bars on the way: the
+    barred values of a cycle are the |s(x)| with s(x) < 0 for x in it.
+    """
+    n = len(s)
+    seen = [False] * (n + 1)
+    out = []
+    for i in range(1, n + 1):
+        if seen[i]:
+            continue
+        bars = 0
+        x = i
+        while not seen[x]:
+            seen[x] = True
+            x = s[x - 1]
+            if x < 0:
+                bars += 1
+                x = -x
+        if not bars % 2:
+            out.append(i)
+    return out
+
+
 def cyc_b(s: SignedPerm) -> int:
     """Number of balanced cycles (even number of barred values)."""
-    return sum(1 for c in signed_cycle_decomposition(s) if c.balanced)
+    return len(_balanced_minima(s))
 
 
 def cyc_b_set(s: SignedPerm) -> frozenset[int]:
     """Minima of the balanced cycles."""
-    return frozenset(
-        c.values[0] for c in signed_cycle_decomposition(s) if c.balanced
-    )
+    return frozenset(_balanced_minima(s))
 
 
 def reflection_length_b(s: SignedPerm) -> int:
@@ -338,7 +397,7 @@ def validate_code_b(code: Iterable[int]) -> SignedCode:
     """Check c_i in [-i, i] and c_i != 0 for every entry."""
     c = tuple(code)
     for i, ci in enumerate(c, 1):
-        if not isinstance(ci, int) or ci == 0 or abs(ci) > i:
+        if isinstance(ci, bool) or not isinstance(ci, int) or ci == 0 or abs(ci) > i:
             raise ValueError(
                 f"code entry c_{i}={ci} outside [-{i}, {i}] minus 0"
             )
@@ -360,13 +419,14 @@ def lehmer_b_encode(s: SignedPerm) -> SignedCode:
 
 
 def lehmer_b_decode(code: Sequence[int]) -> SignedPerm:
-    c = validate_code_b(code)
-    n = len(c)
-    pool = list(range(1, n + 1))
-    out = [0] * n
-    for i in range(n, 0, -1):
-        v = pool.pop(abs(c[i - 1]) - 1)
-        out[i - 1] = v if c[i - 1] > 0 else -v
+    return _lehmer_b_decode(validate_code_b(code))
+
+
+def _lehmer_b_decode(c: SignedCode) -> SignedPerm:
+    """lehmer_b_decode of a code already known to be valid."""
+    pool = list(range(1, len(c) + 1))
+    out = [pool.pop(ci - 1) if ci > 0 else -pool.pop(-ci - 1) for ci in reversed(c)]
+    out.reverse()
     return tuple(out)
 
 

@@ -85,17 +85,7 @@ def inv_d(s: SignedPerm) -> int:
     >>> inv_d((2, -4, 5, 1, -3))
     11
     """
-    n = len(s)
-    total = 0
-    for i in range(n):
-        si = s[i]
-        for j in range(i + 1, n):
-            sj = s[j]
-            if si > sj:
-                total += 1
-            if -si > sj:
-                total += 1
-    return total
+    return perm_b._pair_inversions(s)
 
 
 def factor_weight_d(a: int, j: int) -> int:
@@ -104,15 +94,13 @@ def factor_weight_d(a: int, j: int) -> int:
 
 
 def sor_d(s: SignedPerm) -> int:
-    """Type-D sorting index: the signed sorting factorization of s, reweighted.
+    """Type-D sorting index: the total factor_weight_d over the signed sorting
+    factorization of s (perm_b.selection_sort_factorization).
 
     >>> sor_d((-2, -4, 5, -1, -3))
     11
     """
-    return sum(
-        factor_weight_d(a, j)
-        for a, j in perm_b.selection_sort_factorization(s)
-    )
+    return perm_b._sorting_weight(s, 2)
 
 
 def cosort_factorization(s: SignedPerm) -> tuple[tuple[int, int], ...]:
@@ -194,7 +182,7 @@ def validate_code_d(code: Iterable[int]) -> SignedCode:
     if c and c[0] != 1:
         raise ValueError(f"code entry c_1={c[0]} must be 1")
     for i, ci in enumerate(c, 1):
-        if not isinstance(ci, int) or ci == 0 or abs(ci) > i:
+        if isinstance(ci, bool) or not isinstance(ci, int) or ci == 0 or abs(ci) > i:
             raise ValueError(
                 f"code entry c_{i}={ci} outside [-{i}, {i}] minus 0"
             )
@@ -234,12 +222,15 @@ def ecode_decode(code: Sequence[int]) -> SignedPerm:
     >>> ecode_decode((1, 1, -3, -2, 3))
     (2, -4, 5, 1, -3)
     """
-    c = validate_code_d(code)
+    return _ecode_decode(validate_code_d(code))
+
+
+def _ecode_decode(c: SignedCode) -> SignedPerm:
+    """ecode_decode of a code already known to be valid."""
     if not c:
         return ()
     w = [1]
-    for i in range(2, len(c) + 1):
-        e = c[i - 1]
+    for i, e in enumerate(c[1:], 2):
         if e > 0:
             w.insert(e - 1, i)
         else:

@@ -2,8 +2,11 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +171,32 @@ def test_verify_parallel_matches(capsys):
     _, seq, _ = run_cli(capsys, argv)
     _, par, _ = run_cli(capsys, argv + ["--parallel", "2"])
     assert json.loads(seq)["outputs"] == json.loads(par)["outputs"]
+
+
+def test_bad_parallel_is_a_usage_error(capsys):
+    for workers in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, ["verify", "type-a-gf", "--n", "3", "--parallel", workers]
+        )
+        assert code == 2 and out == "" and "workers" in err
+        code, out, _ = run_cli(
+            capsys,
+            ["table", "inv", "sor", "--family", "A", "--n", "3", "--parallel", workers],
+        )
+        assert code == 2 and out == ""
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # the pool module is imported only by a sweep that uses workers
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coxcodes.cli; print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_falsified_exit_code(capsys):

@@ -3,6 +3,7 @@
 import doctest
 import json
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -57,6 +58,19 @@ def test_enumerate_group_slicing():
     full = list(harness.enumerate_group("B", 2))
     assert full == [harness.unrank("B", 2, r) for r in range(8)]
     assert list(harness.enumerate_group("B", 2, start=3, stop=6)) == full[3:6]
+    # rank order on whole groups, and the chunks a w-worker sweep takes
+    for family, ns in (("A", range(1, 6)), ("B", range(1, 6)), ("D", range(2, 6))):
+        for n in ns:
+            order = harness.group_order(family, n)
+            full = list(harness.enumerate_group(family, n))
+            assert full == [harness.unrank(family, n, r) for r in range(order)]
+            for w in (2, 3):
+                bounds = [order * k // w for k in range(w + 1)]
+                chunks = [
+                    list(harness.enumerate_group(family, n, a, b))
+                    for a, b in zip(bounds, bounds[1:])
+                ]
+                assert sum(chunks, []) == full
 
 
 def test_statistic_resolution():
@@ -80,6 +94,80 @@ def test_statistic_names():
     assert "nmin_B" in harness.integer_statistic_names("B")
     assert "lt'_D" in harness.integer_statistic_names("D")
     assert harness.set_statistic_names("D") == []
+
+
+def test_sweep_counts_value_tuples():
+    counts = harness.sweep("B", 3, ["inv_B", "lp_B", "Rmil_B"])
+    assert counts == Counter(
+        (
+            perm_b.inv_b(s),
+            perm_b.reflection_length_b(s),
+            tuple(sorted(perm_b.rmil_b_set(s))),
+        )
+        for s in harness.enumerate_group("B", 3)
+    )
+    with pytest.raises(ValueError):
+        harness.sweep("B", 3, [])
+    with pytest.raises(ValueError):
+        harness.sweep("B", 3, ["inv"])
+
+
+def test_sweep_groups_count_marginals_of_the_union():
+    # B5 spans several evaluation blocks; two workers split it in the middle
+    names = ["inv_B", "lp_B", "Rmil_B"]
+    full = harness.sweep("B", 5, names)
+    groups = [("inv_B", "lp_B"), ("Rmil_B",), ("lp_B", "inv_B")]
+    expected = []
+    for group in groups:
+        marginal = Counter()
+        for key, count in full.items():
+            marginal[tuple(key[names.index(name)] for name in group)] += count
+        expected.append(marginal)
+    for workers in (1, 2):
+        assert harness._sweep("B", 5, groups, workers) == expected
+
+
+def test_bad_worker_counts_rejected():
+    for workers in (0, -1):
+        with pytest.raises(ValueError):
+            harness.sweep("A", 3, ["inv"], workers)
+        with pytest.raises(ValueError):
+            harness.joint_distribution("A", 3, "inv", "sor", workers)
+        with pytest.raises(ValueError):
+            harness.run_check("type-a-gf", 3, workers)
+
+
+def test_distribution_checks_parallel_match_sequential():
+    for name, n in (
+        ("type-a-gf", 4),
+        ("type-b-gf", 3),
+        ("type-a-four-pairs", 4),
+        ("type-b-four-pairs", 3),
+        ("type-a-set-pairs", 4),
+        ("type-b-set-pairs", 3),
+        ("type-d-bivariate", 3),
+        ("type-d-mahonian", 4),
+    ):
+        seq = harness.run_check(name, n, workers=1).to_dict()
+        assert seq["passed"]
+        assert harness.run_check(name, n, workers=2).to_dict() == seq
+
+
+def test_broken_statistic_makes_its_check_fail(monkeypatch):
+    nmax_b = harness.INTEGER_STATISTICS["B"]["nmax_B"]
+    monkeypatch.setitem(
+        harness.INTEGER_STATISTICS["B"], "nmax_B", lambda s: nmax_b(s) + 1
+    )
+    assert not harness.run_check("type-b-four-pairs", 3).passed
+    monkeypatch.undo()
+    lmap_b = harness.SET_STATISTICS["B"]["Lmap_B"]
+    monkeypatch.setitem(
+        harness.SET_STATISTICS["B"], "Lmap_B", lambda w: lmap_b(w) - {1}
+    )
+    report = harness.run_check("type-b-set-pairs", 3)
+    assert not report.passed
+    assert set(report.counterexample) == {"pair", "sets", "count", "expected"}
+    assert report.counterexample["count"] != report.counterexample["expected"]
 
 
 def test_joint_distribution_anchor():

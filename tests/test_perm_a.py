@@ -31,6 +31,10 @@ def test_validate_permutation():
         perm_a.validate_permutation([0, 1])
     with pytest.raises(ValueError):
         perm_a.validate_permutation([1, 4, 2])
+    # bool is an int subclass, but True is not the letter 1
+    assert not perm_a.is_permutation((2, True))
+    with pytest.raises(ValueError):
+        perm_a.validate_code((True, 2))
 
 
 def test_compose_and_inverse():

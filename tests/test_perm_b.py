@@ -30,6 +30,15 @@ def signed_perms(draw, min_n=1, max_n=12):
     return tuple(v * e for v, e in zip(base, signs))
 
 
+def reference_inv_b(s):
+    """inv_b by its definition: pairs i < j with s(i) > s(j), plus pairs
+    i <= j with -s(i) > s(j)."""
+    n = len(s)
+    return sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n)) + sum(
+        -s[i] > s[j] for i in range(n) for j in range(i, n)
+    )
+
+
 def recursive_bcode(s):
     """Independent oracle: peel the letter of largest magnitude, recurse.
 
@@ -60,6 +69,9 @@ def test_validate_signed():
         perm_b.validate_signed([0, 1])
     with pytest.raises(ValueError):
         perm_b.validate_signed([3, 1])
+    assert not perm_b.is_signed_permutation((-2, True))
+    with pytest.raises(ValueError):
+        perm_b.validate_code_b((True, -2))
 
 
 def test_compose_and_inverse():
@@ -125,6 +137,24 @@ def test_signed_cycles():
     assert perm_b.cyc_b((-6, -7, 4, -3, 5, 1, -2)) == 2
     assert sorted(perm_b.cyc_b_set((-6, -7, 4, -3, 5, 1, -2))) == [2, 5]
     assert perm_b.reflection_length_b((-6, -7, 4, -3, 5, 1, -2)) == 5
+
+
+def test_kernels_match_reference_definitions_exhaustive():
+    # the one-pass kernels against the definitions they compute; A_n and D_n
+    # are subsets of B_n
+    for n in range(1, 7):
+        for s in all_signed(n):
+            assert perm_b.inv_b(s) == reference_inv_b(s)
+            assert perm_b.sor_b(s) == sum(
+                perm_b.factor_weight_b(a, j)
+                for a, j in perm_b.selection_sort_factorization(s)
+            )
+            minima = [
+                c.values[0] for c in perm_b.signed_cycle_decomposition(s) if c.balanced
+            ]
+            assert perm_b.cyc_b(s) == len(minima)
+            assert perm_b.cyc_b_set(s) == frozenset(minima)
+            assert perm_b.reflection_length_b(s) == n - len(minima)
 
 
 def test_set_statistics_golden():

@@ -72,6 +72,20 @@ def test_inv_d_is_b_minus_negatives():
             assert perm_d.inv_d(s) == perm_b.inv_b(s) - perm_b.neg_count(s)
 
 
+def test_kernels_match_reference_definitions_exhaustive():
+    for n in range(2, 7):
+        for s in all_even_signed(n):
+            assert perm_d.inv_d(s) == sum(
+                (s[i] > s[j]) + (-s[i] > s[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+            )
+            assert perm_d.sor_d(s) == sum(
+                perm_d.factor_weight_d(a, j)
+                for a, j in perm_b.selection_sort_factorization(s)
+            )
+
+
 def test_sor_d_golden():
     s = (-2, -4, 5, -1, -3)
     assert perm_d.sor_d(s) == 11
@@ -126,6 +140,8 @@ def test_validate_code_d():
         perm_d.validate_code_d((1, 0))
     with pytest.raises(ValueError):
         perm_d.validate_code_d((1, 3))
+    with pytest.raises(ValueError):
+        perm_d.validate_code_d((1, True))
 
 
 def test_rho_golden():
