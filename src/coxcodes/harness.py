@@ -10,6 +10,12 @@ splitting, and flat arrays indexed by rank.  Supported ranks: A up to 9,
 B up to 8, D from 2 up to 8; anything larger is refused outright rather
 than truncated.
 
+Public ``rank`` validates its input: the length must be n and the element a
+member of the group.  The loops that rank elements they built themselves
+(the BFS oracle tables and the transport check) call the unchecked core
+(``_ranker``) instead, and the oracles read the distance table in rank order
+beside the enumeration, so they rank nothing at all.
+
 Named checks (see CHECKS) re-prove the equidistribution and transport
 identities by direct evaluation on every element; their results are report
 payloads, never exceptions.  Each distribution check runs one sweep (see
@@ -27,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import perm_a, perm_b, perm_d, qpoly
@@ -108,22 +114,56 @@ def _code_values(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     return ((1,),) + values[1:] if family == "D" else values
 
 
-def _decoder(family: str) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """The unchecked core of the ranking code's decoder: enumeration builds
-    codes from the entry value lists, so they are valid by construction."""
-    if family == "A":
-        return perm_a._lehmer_decode
-    if family == "B":
-        return perm_b._lehmer_b_decode
-    return perm_d._ecode_decode
+# Membership tests for rank's boundary, and the unchecked cores of each
+# family's ranking code (the Lehmer code, the signed Lehmer code, the deletion
+# code).  Enumeration decodes codes it builds from the entry value lists, so
+# they are valid by construction; the rank core encodes members only.  Bound
+# once at import, so that a cached ranker keeps these very functions whatever
+# is later put on the module attributes.
+_MEMBERS = {
+    "A": perm_a.is_permutation,
+    "B": perm_b.is_signed_permutation,
+    "D": perm_d.is_even_signed,
+}
+_DECODERS = {
+    "A": perm_a._lehmer_decode,
+    "B": perm_b._lehmer_b_decode,
+    "D": perm_d._ecode_decode,
+}
+_ENCODERS = {
+    "A": perm_a.lehmer_encode,
+    "B": perm_b.lehmer_b_encode,
+    "D": perm_d._ecode_encode,
+}
 
 
-def _encoder(family: str) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    if family == "A":
-        return perm_a.lehmer_encode
-    if family == "B":
-        return perm_b.lehmer_b_encode
-    return perm_d.ecode_encode
+@lru_cache(maxsize=None)
+def _ranker(family: str, n: int) -> Callable[[Sequence[int]], int]:
+    """The unchecked rank of a member of the group, as a function.
+
+    The ranking code is a mixed-radix numeral: entry c_i is the digit
+    c_i - 1 when positive and i - c_i - 1 when barred (its index in
+    _code_values), in the place whose value is the product of the radices of
+    c_1..c_{i-1}.  D's c_1 = 1 has radix 1, so no family needs a branch.
+    Each entry's digit times its place value is tabulated by entry value (a
+    barred value indexes from the end of a table twice the radix long, so the
+    two ends never meet), and the rank is the sum of the looked-up terms.
+    Anything but a member gives a meaningless rank or an exception.
+    """
+    encode = _ENCODERS[family]
+    tables = []
+    place = 1
+    for values in _code_values(family, n):
+        table = [0] * (2 * len(values) + 1)
+        for digit, c in enumerate(values):
+            table[c] = digit * place
+        tables.append(table)
+        place *= len(values)
+
+    def core(element: Sequence[int]) -> int:
+        return sum(map(getitem, tables, encode(element)))
+
+    return core
 
 
 def unrank(family: str, n: int, r: int) -> tuple[int, ...]:
@@ -135,19 +175,21 @@ def unrank(family: str, n: int, r: int) -> tuple[int, ...]:
     for values in _code_values(family, n):
         r, d = divmod(r, len(values))
         code.append(values[d])
-    return _decoder(family)(tuple(code))
+    return _DECODERS[family](tuple(code))
 
 
 def rank(family: str, n: int, element: Sequence[int]) -> int:
-    """Position of an element in the fixed enumeration order."""
+    """Position of an element in the fixed enumeration order.
+
+    Raises ValueError unless the element has length n and belongs to the
+    group.  This is the checked boundary; loops over elements they generated
+    themselves use the unchecked core _ranker(family, n).
+    """
     check_group(family, n)
-    code = _encoder(family)(tuple(element))
-    r = 0
-    place = 1
-    for c, values in zip(code, _code_values(family, n)):
-        r += values.index(c) * place
-        place *= len(values)
-    return r
+    element = tuple(element)
+    if len(element) != n or not _MEMBERS[family](element):
+        raise ValueError(f"not an element of {family}{n}: {list(element)}")
+    return _ranker(family, n)(element)
 
 
 def enumerate_group(
@@ -168,7 +210,7 @@ def enumerate_group(
     # skipping codes, which costs a chunk well under 1% of its sweep
     codes = itertools.product(*reversed(_code_values(family, n)))
     reverse = itemgetter(slice(None, None, -1))
-    yield from map(_decoder(family), map(reverse, itertools.islice(codes, start, stop)))
+    yield from map(_DECODERS[family], map(reverse, itertools.islice(codes, start, stop)))
 
 
 INTEGER_STATISTICS: dict[str, dict[str, Callable]] = {
@@ -423,13 +465,14 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
         (a, b, set_statistic(family, a)[1], set_statistic(family, b)[1])
         for a, b in set_pairs
     ]
+    rank_of = _ranker(family, n)
     seen = bytearray(order)
     counterexample = None
     checked = 0
     for el in enumerate_group(family, n):
         image = func(el)
         checked += 1
-        r = rank(family, n, image)
+        r = rank_of(image)
         if seen[r]:
             counterexample = {
                 "element": list(el),
@@ -525,7 +568,10 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
     """Distances from the identity in the Cayley graph, indexed by rank.
 
     Breadth-first search over the whole group; refuses orders above
-    100000 elements.
+    100000 elements.  Images are ranked by the unchecked core: composing
+    members gives members.  Distances are kept in a rank-indexed bytearray
+    (255 = not reached yet), which holds the diameters of every group the
+    limit admits (at most n^2 = 36, for S^B on B6).
     """
     order = group_order(family, n)
     if order > _BFS_LIMIT:
@@ -534,35 +580,37 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
         )
     gens = generating_set(family, n, set_name)
     compose = perm_a.compose if family == "A" else perm_b.compose
-    dist = [-1] * order
+    rank_of = _ranker(family, n)
+    dist = bytearray(b"\xff") * order
     ident = identity_of(family, n)
-    dist[rank(family, n, ident)] = 0
+    dist[rank_of(ident)] = 0
     frontier = [ident]
     d = 0
     while frontier:
+        d += 1
         next_frontier = []
         for el in frontier:
             for g in gens:
                 image = compose(el, g)
-                r = rank(family, n, image)
-                if dist[r] < 0:
-                    dist[r] = d + 1
+                r = rank_of(image)
+                if dist[r] == 255:
+                    dist[r] = d
                     next_frontier.append(image)
         frontier = next_frontier
-        d += 1
     return tuple(dist)
 
 
 def cayley_distance(
     family: str, n: int, set_name: str, element: Sequence[int]
 ) -> int:
-    """Word length of an element over the named generating set.
+    """Word length of an element over the named generating set; raises
+    ValueError on a wrong length or a non-member, as rank does.
 
     >>> cayley_distance("B", 3, "T^B", (2, 1, 3))
     1
     """
-    table = cayley_distance_table(family, n, set_name)
-    return table[rank(family, n, tuple(element))]
+    r = rank(family, n, element)
+    return cayley_distance_table(family, n, set_name)[r]
 
 
 def _report(name, family, n, passed, checked, counterexample=None, details=None):
@@ -721,9 +769,9 @@ def _check_oracle(name, family, set_name, stat_name):
         _, stat = integer_statistic(family, stat_name)
         counterexample = None
         checked = 0
-        for el in enumerate_group(family, n):
+        # the table is indexed by rank, which is the enumeration order
+        for el, expected in zip(enumerate_group(family, n), table):
             checked += 1
-            expected = table[rank(family, n, el)]
             got = stat(el)
             if got != expected:
                 counterexample = {

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from . import perm_b
+
 Perm = tuple[int, ...]
 Code = tuple[int, ...]
 
@@ -101,8 +103,8 @@ def inv(s: Perm) -> int:
     >>> inv((3, 1, 5, 2, 4))
     4
     """
-    n = len(s)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if s[i] > s[j])
+    # the signed pair count; on unsigned words -s(i) > s(j) never holds
+    return perm_b._pair_inversions(s)
 
 
 def cycles(s: Perm) -> tuple[tuple[int, ...], ...]:
@@ -207,10 +209,8 @@ def lehmer_encode(s: Perm) -> Code:
     >>> lehmer_encode((2, 4, 1, 5, 3))
     (1, 2, 1, 4, 3)
     """
-    n = len(s)
-    return tuple(
-        sum(1 for j in range(i + 1) if s[j] <= s[i]) for i in range(n)
-    )
+    # the signed Lehmer code of an unsigned word
+    return perm_b.lehmer_b_encode(s)
 
 
 def lehmer_decode(code: Sequence[int]) -> Perm:
@@ -270,7 +270,11 @@ def bcode_decode(code: Sequence[int]) -> Perm:
     >>> bcode_decode((1, 1, 3, 2, 3))
     (2, 4, 5, 1, 3)
     """
-    c = validate_code(code)
+    return _bcode_decode(validate_code(code))
+
+
+def _bcode_decode(c: Code) -> Perm:
+    """bcode_decode of a code already known to be valid."""
     w = list(range(1, len(c) + 1))
     # Prior factors only touch places < i, so letter i still sits at place i
     # and right-multiplying by (c_i, i) is a swap of places c_i and i.
@@ -326,7 +330,7 @@ def phi(s: Perm) -> Perm:
     >>> phi((3, 1, 5, 2, 4))
     (3, 2, 5, 4, 1)
     """
-    return bcode_decode(acode_encode(s))
+    return _bcode_decode(acode_encode(s))
 
 
 def phi_inverse(s: Perm) -> Perm:

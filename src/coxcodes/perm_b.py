@@ -410,11 +410,15 @@ def lehmer_b_encode(s: SignedPerm) -> SignedCode:
     >>> lehmer_b_encode((5, -7, 1, -4, 9, -2, -6, 3, 8))
     (1, -2, 1, -2, 5, -2, -5, 3, 8)
     """
+    # one pass over a bitmask of the absolute values seen so far: |c_i| is
+    # the number of set bits at or below |s(i)|, its own bit included
+    seen = 0
     out = []
-    for i in range(len(s)):
-        ai = abs(s[i])
-        c = sum(1 for j in range(i + 1) if abs(s[j]) <= ai)
-        out.append(c if s[i] > 0 else -c)
+    for x in s:
+        a = x if x > 0 else -x
+        seen |= 1 << a
+        c = (seen & ((2 << a) - 1)).bit_count()
+        out.append(c if x > 0 else -c)
     return tuple(out)
 
 
@@ -478,7 +482,11 @@ def bcode_b_decode(code: Sequence[int]) -> SignedPerm:
     >>> bcode_b_decode((1, -1, 1, -4, -4, -3))
     (3, -1, -6, -5, 4, 2)
     """
-    c = validate_code_b(code)
+    return _bcode_b_decode(validate_code_b(code))
+
+
+def _bcode_b_decode(c: SignedCode) -> SignedPerm:
+    """bcode_b_decode of a code already known to be valid."""
     w = list(range(1, len(c) + 1))
     for i, b in enumerate(c, 1):
         if b == i:
@@ -502,7 +510,7 @@ def psi(s: SignedPerm) -> SignedPerm:
     >>> psi((2, -4, 5, 1, -3))
     (2, -4, 5, -1, -3)
     """
-    return bcode_b_decode(acode_b_encode(s))
+    return _bcode_b_decode(acode_b_encode(s))
 
 
 def psi_inverse(s: SignedPerm) -> SignedPerm:

@@ -172,7 +172,7 @@ def reflection_length_d(s: SignedPerm) -> int:
     >>> reflection_length_d((-2, -4, 5, -1, -3))
     4
     """
-    f = fcode_encode(s)
+    f = _fcode_encode(s)
     return len(s) - sum(1 for r, fr in enumerate(f, 1) if fr == r)
 
 
@@ -198,7 +198,14 @@ def ecode_encode(s: SignedPerm) -> SignedCode:
 
     >>> ecode_encode((2, -4, 5, 1, -3))
     (1, 1, -3, -2, 3)
+
+    Raises ValueError on anything but an even-signed permutation.
     """
+    return _ecode_encode(validate_even_signed(s))
+
+
+def _ecode_encode(s: SignedPerm) -> SignedCode:
+    """ecode_encode of an element already known to be even-signed."""
     w = list(s)
     out = [0] * len(s)
     if out:
@@ -249,7 +256,14 @@ def fcode_encode(s: SignedPerm) -> SignedCode:
 
     >>> fcode_encode((-2, -4, 5, -1, -3))
     (1, 1, -3, -2, 3)
+
+    Raises ValueError on anything but an even-signed permutation.
     """
+    return _fcode_encode(validate_even_signed(s))
+
+
+def _fcode_encode(s: SignedPerm) -> SignedCode:
+    """fcode_encode of an element already known to be even-signed."""
     w = list(s)
     n = len(w)
     out = [0] * n
@@ -287,7 +301,11 @@ def fcode_decode(code: Sequence[int]) -> SignedPerm:
     >>> fcode_decode((1, 1, -3, -2, 3))
     (-2, -4, 5, -1, -3)
     """
-    c = validate_code_d(code)
+    return _fcode_decode(validate_code_d(code))
+
+
+def _fcode_decode(c: SignedCode) -> SignedPerm:
+    """fcode_decode of a code already known to be valid."""
     w = list(range(1, len(c) + 1))
     for i, f in enumerate(c, 1):
         if f == i:
@@ -311,8 +329,8 @@ def rho(s: SignedPerm) -> SignedPerm:
     >>> rho((2, -4, 5, 1, -3))
     (-2, -4, 5, -1, -3)
     """
-    return fcode_decode(ecode_encode(s))
+    return _fcode_decode(_ecode_encode(s))
 
 
 def rho_inverse(s: SignedPerm) -> SignedPerm:
-    return ecode_decode(fcode_encode(s))
+    return _ecode_decode(_fcode_encode(s))

@@ -54,6 +54,29 @@ def test_unrank_rank_round_trip():
         harness.unrank("A", 3, -1)
 
 
+def test_rank_rejects_wrong_length_and_non_members():
+    for family, n, element in (
+        ("A", 3, (1, 2)),
+        ("A", 3, (1, 1, 1)),
+        ("A", 3, (1, 2, -3)),
+        ("B", 2, (1, 2, 3)),
+        ("B", 2, (0, 1)),
+        ("D", 3, (-1, 2, 3)),
+    ):
+        with pytest.raises(ValueError):
+            harness.rank(family, n, element)
+    with pytest.raises(ValueError):
+        harness.cayley_distance("B", 3, "T^B", (1, 2))
+
+
+def test_ranker_core_matches_enumeration_order():
+    # the rank of an element is, by definition, its index in enumerate_group
+    for family, n in (("A", 7), ("B", 6), ("D", 6)):
+        core = harness._ranker(family, n)
+        ranks = [core(el) for el in harness.enumerate_group(family, n)]
+        assert ranks == list(range(harness.group_order(family, n)))
+
+
 def test_enumerate_group_slicing():
     full = list(harness.enumerate_group("B", 2))
     assert full == [harness.unrank("B", 2, r) for r in range(8)]
@@ -246,6 +269,80 @@ def test_cayley_tables_match_statistics():
         table = harness.cayley_distance_table("D", n, "S^D")
         for s in harness.enumerate_group("D", n):
             assert table[harness.rank("D", n, s)] == perm_d.inv_d(s)
+
+
+def reference_distances(family, n, set_name):
+    """Word lengths by a plain BFS keyed by element, listed in rank order."""
+    gens = harness.generating_set(family, n, set_name)
+    ident = harness.identity_of(family, n)
+    dist = {ident: 0}
+    frontier = [ident]
+    while frontier:
+        next_frontier = []
+        for el in frontier:
+            for g in gens:
+                image = perm_b.compose(el, g)
+                if image not in dist:
+                    dist[image] = dist[el] + 1
+                    next_frontier.append(image)
+        frontier = next_frontier
+    return tuple(dist[el] for el in harness.enumerate_group(family, n))
+
+
+def test_cayley_tables_match_plain_bfs():
+    for family, n in (("A", 5), ("B", 4), ("B", 5), ("D", 4), ("D", 5)):
+        for set_name in harness.GENERATING_SET_NAMES[family]:
+            assert harness.cayley_distance_table(family, n, set_name) == (
+                reference_distances(family, n, set_name)
+            )
+
+
+def test_hot_paths_never_call_public_rank(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("public rank called")
+
+    monkeypatch.setattr(harness, "rank", refuse)
+    harness.cayley_distance_table.cache_clear()
+    names = [
+        name for name in harness.CHECKS
+        if name.startswith("oracle-") or name.endswith("-transport")
+    ]
+    assert len(names) == 7
+    for name in names:
+        assert harness.run_check(name, 4).passed, name
+
+
+def test_non_injective_bijection_is_caught(monkeypatch):
+    family, psi, psi_inverse, int_pairs, set_pairs = harness.BIJECTIONS["psi"]
+    first, second = harness.unrank("B", 4, 0), harness.unrank("B", 4, 1)
+    monkeypatch.setitem(
+        harness.BIJECTIONS, "psi",
+        (family, lambda s: psi(first if s == second else s), psi_inverse,
+         int_pairs, set_pairs),
+    )
+    report = harness.run_check("type-b-transport", 4)
+    assert not report.passed
+    assert report.counterexample == {
+        "element": list(second),
+        "image": list(psi(first)),
+        "reason": "duplicate image",
+    }
+
+
+def test_broken_length_makes_its_oracle_fail(monkeypatch):
+    inv_b = harness.INTEGER_STATISTICS["B"]["inv_B"]
+    target = harness.unrank("B", 4, 100)
+    monkeypatch.setitem(
+        harness.INTEGER_STATISTICS["B"], "inv_B",
+        lambda s: inv_b(s) + (s == target),
+    )
+    report = harness.run_check("oracle-length-b", 4)
+    assert not report.passed
+    assert report.counterexample == {
+        "element": list(target),
+        "inv_B": inv_b(target) + 1,
+        "distance over S^B": inv_b(target),
+    }
 
 
 def test_bfs_refuses_large_groups():

@@ -56,6 +56,25 @@ def test_inv_counts_pairs():
     assert perm_a.inv((3, 1, 5, 2, 4)) == 4
 
 
+def reference_inv(s):
+    """inv by its definition: pairs i < j with s(i) > s(j)."""
+    n = len(s)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if s[i] > s[j])
+
+
+def reference_lehmer(s):
+    """The Lehmer code by its definition: c_i = #{j <= i : s(j) <= s(i)}."""
+    return tuple(sum(1 for j in range(i + 1) if s[j] <= s[i]) for i in range(len(s)))
+
+
+def test_kernels_match_reference_definitions_exhaustive():
+    # inv runs the signed pair count, the Lehmer code the popcount kernel
+    for n in range(1, 8):
+        for s in all_perms(n):
+            assert perm_a.inv(s) == reference_inv(s)
+            assert perm_a.lehmer_encode(s) == reference_lehmer(s)
+
+
 def test_cycles_canonical_form():
     assert perm_a.cycles((2, 4, 5, 1, 3)) == ((1, 2, 4), (3, 5))
     assert perm_a.cycles((1, 2, 3)) == ((1,), (2,), (3,))

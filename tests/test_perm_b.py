@@ -39,6 +39,16 @@ def reference_inv_b(s):
     )
 
 
+def reference_lehmer_b(s):
+    """The signed Lehmer code by its definition: |c_i| = #{j <= i : |s(j)| <=
+    |s(i)|}, with the sign of s(i)."""
+    out = []
+    for i in range(len(s)):
+        c = sum(1 for j in range(i + 1) if abs(s[j]) <= abs(s[i]))
+        out.append(c if s[i] > 0 else -c)
+    return tuple(out)
+
+
 def recursive_bcode(s):
     """Independent oracle: peel the letter of largest magnitude, recurse.
 
@@ -145,6 +155,7 @@ def test_kernels_match_reference_definitions_exhaustive():
     for n in range(1, 7):
         for s in all_signed(n):
             assert perm_b.inv_b(s) == reference_inv_b(s)
+            assert perm_b.lehmer_b_encode(s) == reference_lehmer_b(s)
             assert perm_b.sor_b(s) == sum(
                 perm_b.factor_weight_b(a, j)
                 for a, j in perm_b.selection_sort_factorization(s)

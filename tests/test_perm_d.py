@@ -43,6 +43,11 @@ def test_validate_even_signed():
         perm_d.validate_even_signed([-1, 2])
     with pytest.raises(ValueError):
         perm_d.validate_even_signed([1, 1])
+    # the public encoders validate; (-1, 2, 3) once got the identity's code
+    for encode in (perm_d.ecode_encode, perm_d.fcode_encode):
+        for bad in ([-1, 2, 3], [1, 1], [2, 3]):
+            with pytest.raises(ValueError):
+                encode(bad)
 
 
 def test_apply_generator():
