@@ -17,23 +17,26 @@ import sys
 
 from . import harness, perm_a, perm_b, perm_d
 
-CODE_FAMILIES = {
-    "lehmer": ("A", "B"),
-    "acode": ("A", "B"),
-    "bcode": ("A", "B"),
-    "ecode": ("D",),
-    "fcode": ("D",),
+CODE_FAMILIES = sorted(
+    {label for pairs in harness._CODE_PAIRS.values() for label, _, _ in pairs}
+)
+
+_VALIDATORS = {
+    "A": perm_a.validate_permutation,
+    "B": perm_b.validate_signed,
+    "D": perm_d.validate_even_signed,
 }
 
-_CODERS = {
-    ("lehmer", "A"): (perm_a.lehmer_encode, perm_a.lehmer_decode),
-    ("acode", "A"): (perm_a.acode_encode, perm_a.acode_decode),
-    ("bcode", "A"): (perm_a.bcode_encode, perm_a.bcode_decode),
-    ("lehmer", "B"): (perm_b.lehmer_b_encode, perm_b.lehmer_b_decode),
-    ("acode", "B"): (perm_b.acode_b_encode, perm_b.acode_b_decode),
-    ("bcode", "B"): (perm_b.bcode_b_encode, perm_b.bcode_b_decode),
-    ("ecode", "D"): (perm_d.ecode_encode, perm_d.ecode_decode),
-    ("fcode", "D"): (perm_d.fcode_encode, perm_d.fcode_decode),
+# `stats` output keys per family, integer statistics then set statistics;
+# D's N is the bar count, a statistic of family B
+_STATS_KEYS = {
+    "A": (("inv", "sor", "cyc", "rl-min", "lr-max", "nmin"), ("Cyc", "Lmap", "Rmil")),
+    "B": (
+        ("inv_B", "sor_B", "l'_B", "cyc_B", "nmin_B", "nmax_B", "rl-min_B",
+         "lr-max_B", "N"),
+        ("Cyc_B", "Lmap_B", "Rmil_B"),
+    ),
+    "D": (("inv_D", "sor_D", "sor'_D", "nmin_D", "lt'_D", "N"), ()),
 }
 
 
@@ -59,12 +62,18 @@ def _payload(args, what: str) -> str:
     return text
 
 
-def _validate_element(family: str, values: tuple[int, ...]) -> tuple[int, ...]:
-    if family == "A":
-        return perm_a.validate_permutation(values)
-    if family == "B":
-        return perm_b.validate_signed(values)
-    return perm_d.validate_even_signed(values)
+def _coders(code_family: str) -> dict[str, tuple]:
+    """Group -> (encoder, decoder) of a code family, in registry order.
+
+    Read from the harness registry per call, so that wrappers put on its
+    entries take effect.
+    """
+    return {
+        family: (encode, decode)
+        for family, pairs in harness._CODE_PAIRS.items()
+        for label, encode, decode in pairs
+        if label == code_family
+    }
 
 
 def _check_n(args, length: int) -> None:
@@ -97,44 +106,20 @@ def _fmt_word(values) -> str:
 
 
 def _stats_record(family: str, el: tuple[int, ...]) -> dict:
-    if family == "A":
-        return {
-            "inv": perm_a.inv(el),
-            "sor": perm_a.sor(el),
-            "cyc": perm_a.cyc(el),
-            "rl-min": perm_a.rl_min(el),
-            "lr-max": perm_a.lr_max(el),
-            "nmin": perm_a.nmin(el),
-            "Cyc": sorted(perm_a.cyc_set(el)),
-            "Lmap": sorted(perm_a.lmap_set(el)),
-            "Rmil": sorted(perm_a.rmil_set(el)),
-        }
-    if family == "B":
-        rec = {
-            "inv_B": perm_b.inv_b(el),
-            "sor_B": perm_b.sor_b(el),
-            "l'_B": perm_b.reflection_length_b(el),
-            "cyc_B": perm_b.cyc_b(el),
-        }
-        rec.update(perm_b.stats_b(el))
-        rec["Cyc_B"] = sorted(perm_b.cyc_b_set(el))
-        rec["Lmap_B"] = sorted(perm_b.lmap_b_set(el))
-        rec["Rmil_B"] = sorted(perm_b.rmil_b_set(el))
-        return rec
-    return {
-        "inv_D": perm_d.inv_d(el),
-        "sor_D": perm_d.sor_d(el),
-        "sor'_D": perm_d.sor_d_prime(el),
-        "nmin_D": perm_d.nmin_d(el),
-        "lt'_D": perm_d.reflection_length_d(el),
-        "N": perm_b.neg_count(el),
-    }
+    ints, sets = _STATS_KEYS[family]
+    record = {}
+    for key in ints:
+        _, stat = harness.integer_statistic("B" if key == "N" else family, key)
+        record[key] = stat(el)
+    for key in sets:
+        record[key] = sorted(harness.set_statistic(family, key)[1](el))
+    return record
 
 
 def cmd_stats(args) -> int:
     if args.family is None:
         raise ValueError("stats needs --family (A, B, or D)")
-    el = _validate_element(args.family, _parse_ints(_payload(args, "element"), "element"))
+    el = _VALIDATORS[args.family](_parse_ints(_payload(args, "element"), "element"))
     _check_n(args, len(el))
     record = _stats_record(args.family, el)
     doc = _document(args.family, len(el), {"element": list(el)}, record)
@@ -149,7 +134,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_code(args) -> int:
-    allowed = CODE_FAMILIES[args.code_family]
+    coders = _coders(args.code_family)
+    allowed = tuple(coders)
     family = args.family
     if family is None:
         if len(allowed) == 1:
@@ -162,11 +148,11 @@ def cmd_code(args) -> int:
         raise ValueError(
             f"{args.code_family} is defined for family {' or '.join(allowed)}, not {family}"
         )
-    encode, decode = _CODERS[(args.code_family, family)]
+    encode, decode = coders[family]
     values = _parse_ints(_payload(args, "payload"), "payload")
     _check_n(args, len(values))
     if args.direction == "encode":
-        el = _validate_element(family, values)
+        el = _VALIDATORS[family](values)
         result = encode(el)
         inputs = {"direction": "encode", "code_family": args.code_family,
                   "element": list(el)}
@@ -189,7 +175,7 @@ def cmd_map(args) -> int:
         raise ValueError(
             f"{args.bijection} acts on family {family}, not {args.family}"
         )
-    el = _validate_element(family, _parse_ints(_payload(args, "element"), "element"))
+    el = _VALIDATORS[family](_parse_ints(_payload(args, "element"), "element"))
     _check_n(args, len(el))
     image = inv_func(el) if args.inverse else func(el)
     source_stats: dict = {}
@@ -304,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("code", parents=[common],
                        help="encode an element or decode a code")
     p.add_argument("direction", choices=["encode", "decode"])
-    p.add_argument("code_family", choices=sorted(CODE_FAMILIES))
+    p.add_argument("code_family", choices=CODE_FAMILIES)
     p.add_argument("payload", nargs="?", metavar="PAYLOAD",
                    help="element or code; stdin when omitted")
     p.set_defaults(func=cmd_code)

@@ -29,10 +29,11 @@ generating-function check), not elements enumerated.
 from __future__ import annotations
 
 import itertools
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
+from math import prod
 from operator import getitem, itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -87,11 +88,7 @@ def check_group(family: str, n: int) -> None:
 
 def group_order(family: str, n: int) -> int:
     check_group(family, n)
-    if family == "A":
-        return factorial(n)
-    if family == "B":
-        return 2**n * factorial(n)
-    return 2 ** (n - 1) * factorial(n)
+    return prod(map(len, _code_values(family, n)))
 
 
 def identity_of(family: str, n: int) -> tuple[int, ...]:
@@ -115,23 +112,23 @@ def _code_values(family: str, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 # Membership tests for rank's boundary, and the unchecked cores of each
-# family's ranking code (the Lehmer code, the signed Lehmer code, the deletion
-# code).  Enumeration decodes codes it builds from the entry value lists, so
-# they are valid by construction; the rank core encodes members only.  Bound
-# once at import, so that a cached ranker keeps these very functions whatever
-# is later put on the module attributes.
+# family's ranking code (the signed Lehmer code, which on A is the Lehmer
+# code, and the deletion code).  Enumeration decodes codes it builds from the
+# entry value lists, so they are valid by construction; the rank core encodes
+# members only.  Bound once at import, so that a cached ranker keeps these
+# very functions whatever is later put on the module attributes.
 _MEMBERS = {
     "A": perm_a.is_permutation,
     "B": perm_b.is_signed_permutation,
     "D": perm_d.is_even_signed,
 }
 _DECODERS = {
-    "A": perm_a._lehmer_decode,
+    "A": perm_b._lehmer_b_decode,
     "B": perm_b._lehmer_b_decode,
     "D": perm_d._ecode_decode,
 }
 _ENCODERS = {
-    "A": perm_a.lehmer_encode,
+    "A": perm_b.lehmer_b_encode,
     "B": perm_b.lehmer_b_encode,
     "D": perm_d._ecode_encode,
 }
@@ -318,7 +315,8 @@ def sweep(family: str, n: int, names: Sequence[str], workers: int = 1) -> Counte
     The group is enumerated once and each named statistic (integer or set)
     is evaluated once per element; set values are stored as sorted tuples.
     With workers > 1 the rank range is split into one chunk per worker
-    process and the chunks' counts are added; addition is associative and
+    process, with no more processes than os.cpu_count() reports, and the
+    chunks' counts are added; addition is associative and
     commutative, so the result is identical to the sequential run.
 
     >>> sorted(sweep("A", 2, ["inv", "Cyc"]).items())
@@ -347,6 +345,8 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
         raise ValueError("a sweep needs at least one statistic")
     names = tuple(dict.fromkeys(name for g in groups for name in g))
     places = tuple(tuple(names.index(name) for name in g) for g in groups)
+    # more processes than CPUs only add start-up and merge cost
+    workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or order < 4 * workers:
         return _sweep_range(family, n, names, places, 0, order)
     # imported here, not at the top, so that a CLI start does not pay for it
@@ -449,7 +449,11 @@ BIJECTIONS: dict[str, tuple] = {
 
 
 def verify_transport(bijection: str, n: int) -> VerifyReport:
-    """Check pointwise statistic transport and bijectivity on the whole group."""
+    """Check pointwise statistic transport and bijectivity on the whole group.
+
+    Each image must be a member of the group, have a rank no other image
+    has, and carry the image statistics of its source.
+    """
     if bijection not in BIJECTIONS:
         raise ValueError(
             f"unknown bijection {bijection!r}; choose from: "
@@ -465,6 +469,7 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
         (a, b, set_statistic(family, a)[1], set_statistic(family, b)[1])
         for a, b in set_pairs
     ]
+    member = _MEMBERS[family]
     rank_of = _ranker(family, n)
     seen = bytearray(order)
     counterexample = None
@@ -472,6 +477,14 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
     for el in enumerate_group(family, n):
         image = func(el)
         checked += 1
+        # the rank core gives a non-member the rank of some member, or raises
+        if len(image) != n or not member(image):
+            counterexample = {
+                "element": list(el),
+                "image": list(image),
+                "reason": "image not in group",
+            }
+            break
         r = rank_of(image)
         if seen[r]:
             counterexample = {
@@ -579,7 +592,7 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
             f"group order {order} exceeds the BFS limit {_BFS_LIMIT}"
         )
     gens = generating_set(family, n, set_name)
-    compose = perm_a.compose if family == "A" else perm_b.compose
+    compose = perm_b.compose  # a permutation composes as a signed one
     rank_of = _ranker(family, n)
     dist = bytearray(b"\xff") * order
     ident = identity_of(family, n)

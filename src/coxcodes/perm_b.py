@@ -48,7 +48,6 @@ __all__ = [
     "lr_max_b",
     "nmin_b",
     "nmax_b",
-    "stats_b",
     "validate_code_b",
     "lehmer_b_encode",
     "lehmer_b_decode",
@@ -382,17 +381,6 @@ def nmax_b(s: SignedPerm) -> int:
     return count + neg_count(s)
 
 
-def stats_b(s: SignedPerm) -> dict[str, int]:
-    """The counting statistics of s as one record."""
-    return {
-        "nmin_B": nmin_b(s),
-        "nmax_B": nmax_b(s),
-        "rl-min_B": rl_min_b(s),
-        "lr-max_B": lr_max_b(s),
-        "N": neg_count(s),
-    }
-
-
 def validate_code_b(code: Iterable[int]) -> SignedCode:
     """Check c_i in [-i, i] and c_i != 0 for every entry."""
     c = tuple(code)
@@ -452,7 +440,11 @@ def acode_b_decode(code: Sequence[int]) -> SignedPerm:
     >>> acode_b_decode((1, 1, -3, -2, 3))
     (2, -4, 5, 1, -3)
     """
-    c = validate_code_b(code)
+    return _acode_b_decode(validate_code_b(code))
+
+
+def _acode_b_decode(c: SignedCode) -> SignedPerm:
+    """acode_b_decode of a code already known to be valid."""
     w: list[int] = []
     for i, ci in enumerate(c, 1):
         w.insert(abs(ci) - 1, i if ci > 0 else -i)
@@ -514,4 +506,4 @@ def psi(s: SignedPerm) -> SignedPerm:
 
 
 def psi_inverse(s: SignedPerm) -> SignedPerm:
-    return acode_b_decode(bcode_b_encode(s))
+    return _acode_b_decode(bcode_b_encode(s))

@@ -3,6 +3,7 @@
 import doctest
 import json
 import math
+import os
 from collections import Counter
 
 import pytest
@@ -327,6 +328,57 @@ def test_non_injective_bijection_is_caught(monkeypatch):
         "image": list(psi(first)),
         "reason": "duplicate image",
     }
+
+
+@pytest.mark.parametrize("bijection, n, r, image", [
+    ("phi", 3, 2, (2, 1)),  # a permutation, but of the wrong length
+    ("psi", 4, 7, (2, -2, 3, 4)),  # the rank core gives it a member's rank
+    ("rho", 3, 5, (1, 1, 1)),  # the E-code core raises on it
+])
+def test_non_member_image_is_caught(monkeypatch, bijection, n, r, image):
+    family, func, func_inverse, int_pairs, set_pairs = harness.BIJECTIONS[bijection]
+    target = harness.unrank(family, n, r)
+    monkeypatch.setitem(
+        harness.BIJECTIONS, bijection,
+        (family, lambda s: image if s == target else func(s), func_inverse,
+         int_pairs, set_pairs),
+    )
+    report = harness.verify_transport(bijection, n)
+    assert not report.passed
+    assert report.counterexample == {
+        "element": list(target),
+        "image": list(image),
+        "reason": "image not in group",
+    }
+
+
+def test_parallel_workers_capped_at_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    expected = harness.sweep("B", 5, ["inv_B", "nmin_B"])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert harness.sweep("B", 5, ["inv_B", "nmin_B"], workers=64) == expected
+    assert pools == [2]
+    # an unknown CPU count runs the sweep in this process
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert harness.sweep("B", 5, ["inv_B", "nmin_B"], workers=64) == expected
+    assert pools == [2]
 
 
 def test_broken_length_makes_its_oracle_fail(monkeypatch):

@@ -67,12 +67,109 @@ def reference_lehmer(s):
     return tuple(sum(1 for j in range(i + 1) if s[j] <= s[i]) for i in range(len(s)))
 
 
+def reference_rmil(word):
+    """Letters smaller than every letter to their right."""
+    n = len(word)
+    return {
+        word[i] for i in range(n) if all(word[i] < word[j] for j in range(i + 1, n))
+    }
+
+
+def reference_lmap(word):
+    """Places whose letter is larger than every letter to their left."""
+    return {i + 1 for i in range(len(word)) if all(word[i] > word[j] for j in range(i))}
+
+
+def reference_rl_min(word):
+    n = len(word)
+    return sum(all(word[i] < word[j] for j in range(i + 1, n)) for i in range(n))
+
+
+def reference_lr_max(word):
+    return sum(all(word[i] > word[j] for j in range(i)) for i in range(len(word)))
+
+
+def reference_nmin(s):
+    """Letters that are larger than some letter to their right."""
+    n = len(s)
+    return sum(any(s[i] > s[j] for j in range(i + 1, n)) for i in range(n))
+
+
+def reference_cycles(s):
+    """Orbits of s, each read from its minimum, sorted by minimum."""
+    out = set()
+    for i in range(1, len(s) + 1):
+        orbit = [i]
+        while s[orbit[-1] - 1] != i:
+            orbit.append(s[orbit[-1] - 1])
+        k = orbit.index(min(orbit))
+        out.add(tuple(orbit[k:] + orbit[:k]))
+    return tuple(sorted(out))
+
+
+def reference_sort_factors(s):
+    """Selection sort from the right: swap each letter j home from its place i,
+    recording (i, j); the factors multiply right to left back to s."""
+    w = list(s)
+    factors = []
+    for j in range(len(w), 1, -1):
+        i = w.index(j) + 1
+        if i != j:
+            factors.append((i, j))
+            w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
+    return tuple(reversed(factors))
+
+
+def reference_acode(s):
+    """c_i = #{j <= i : letter j sits at or left of letter i}."""
+    place = {v: p for p, v in enumerate(s)}
+    return tuple(
+        sum(1 for j in range(1, i + 1) if place[j] <= place[i])
+        for i in range(1, len(s) + 1)
+    )
+
+
+def reference_bcode(s):
+    """c_i = the first value <= i met walking backwards along i's cycle."""
+    out = []
+    for i in range(1, len(s) + 1):
+        x = s.index(i) + 1
+        while x > i:
+            x = s.index(x) + 1
+        out.append(x)
+    return tuple(out)
+
+
 def test_kernels_match_reference_definitions_exhaustive():
-    # inv runs the signed pair count, the Lehmer code the popcount kernel
+    # every kernel here is a signed perm_b kernel run on unsigned words
     for n in range(1, 8):
         for s in all_perms(n):
             assert perm_a.inv(s) == reference_inv(s)
             assert perm_a.lehmer_encode(s) == reference_lehmer(s)
+            assert perm_a.rmil_set(s) == reference_rmil(s)
+            assert perm_a.lmap_set(s) == reference_lmap(s)
+            assert perm_a.rl_min(s) == reference_rl_min(s)
+            assert perm_a.lr_max(s) == reference_lr_max(s)
+            assert perm_a.nmin(s) == reference_nmin(s)
+            cycles = reference_cycles(s)
+            assert perm_a.cycles(s) == cycles
+            assert perm_a.cyc(s) == len(cycles)
+            assert perm_a.cyc_set(s) == {c[0] for c in cycles}
+            factors = reference_sort_factors(s)
+            assert perm_a.sort_factorization(s) == factors
+            assert perm_a.sor(s) == sum(j - i for i, j in factors)
+            assert perm_a.acode_encode(s) == reference_acode(s)
+            assert perm_a.bcode_encode(s) == reference_bcode(s)
+
+
+def test_word_statistics_match_reference_definitions_on_codes():
+    # codes repeat letters; the paper reads Rmil and Lmap off them
+    for n in range(1, 7):
+        for code in itertools.product(*(range(1, i + 1) for i in range(1, n + 1))):
+            assert perm_a.rmil_set(code) == reference_rmil(code)
+            assert perm_a.lmap_set(code) == reference_lmap(code)
+            assert perm_a.rl_min(code) == reference_rl_min(code)
+            assert perm_a.lr_max(code) == reference_lr_max(code)
 
 
 def test_cycles_canonical_form():
@@ -86,6 +183,8 @@ def test_set_statistics_on_words():
     # words with repeats are allowed (codes)
     assert sorted(perm_a.rmil_set((1, 1, 3, 2, 4))) == [1, 2, 4]
     assert sorted(perm_a.lmap_set((2, 4, 1, 5, 3))) == [1, 2, 4]
+    assert sorted(perm_a.rmil_set((2, 4, 5, 1, 3))) == [1, 3]
+    assert sorted(perm_a.lmap_set((2, 4, 5, 1, 3))) == [1, 2, 3]
     assert perm_a.rl_min((2, 4, 5, 1, 3)) == 2
     assert perm_a.lr_max((2, 4, 5, 1, 3)) == 3
     assert perm_a.nmin((2, 4, 5, 1, 3)) == 3

@@ -172,12 +172,11 @@ def test_set_statistics_golden():
     s = (5, -7, 1, -4, 9, -2, -6, 3, 8)
     assert sorted(perm_b.rmil_b_set(s)) == [1, 3, 8]
     assert sorted(perm_b.lmap_b_set(s)) == [1, 5]
-    stats = perm_b.stats_b(s)
-    assert stats["rl-min_B"] == 3
-    assert stats["lr-max_B"] == 2
-    assert stats["N"] == 4
-    assert stats["nmin_B"] == 9 - 3
-    assert stats["nmax_B"] == 9 - 2
+    assert perm_b.rl_min_b(s) == 3
+    assert perm_b.lr_max_b(s) == 2
+    assert perm_b.neg_count(s) == 4
+    assert perm_b.nmin_b(s) == 9 - 3
+    assert perm_b.nmax_b(s) == 9 - 2
 
 
 def test_nmin_nmax_complement_exhaustive():
