@@ -170,7 +170,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_map(args) -> int:
-    family, func, inv_func, int_pairs, set_pairs = harness.BIJECTIONS[args.bijection]
+    family, func, inv_func = harness.BIJECTIONS[args.bijection][:3]
     if args.family is not None and args.family != family:
         raise ValueError(
             f"{args.bijection} acts on family {family}, not {args.family}"
@@ -180,20 +180,11 @@ def cmd_map(args) -> int:
     image = inv_func(el) if args.inverse else func(el)
     source_stats: dict = {}
     image_stats: dict = {}
-    for a, b in int_pairs:
-        fa = harness.integer_statistic(family, a)[1]
-        fb = harness.integer_statistic(family, b)[1]
+    for a, b, fa, fb in harness._transport_pairs(args.bijection):
         if args.inverse:
             source_stats[b], image_stats[a] = fb(el), fa(image)
         else:
             source_stats[a], image_stats[b] = fa(el), fb(image)
-    for a, b in set_pairs:
-        fa = harness.set_statistic(family, a)[1]
-        fb = harness.set_statistic(family, b)[1]
-        if args.inverse:
-            source_stats[b], image_stats[a] = sorted(fb(el)), sorted(fa(image))
-        else:
-            source_stats[a], image_stats[b] = sorted(fa(el)), sorted(fb(image))
     doc = _document(
         family,
         len(el),

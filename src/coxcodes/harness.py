@@ -23,7 +23,10 @@ sweep) over the union of the statistics it compares: the group is
 enumerated once, every statistic is evaluated once per element, and each
 joint distribution in the report is counted in that pass.  A report's
 ``checked`` counts element x pair comparisons (twice the group order for a
-generating-function check), not elements enumerated.
+generating-function check), not elements enumerated.  Each pointwise check
+(transport, oracles, codes, type-d-sor-prime) runs one scan (_scan) over its
+cases in rank order, which stops at the first counterexample; there
+``checked`` counts the cases taken.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 from operator import getitem, itemgetter
 from typing import Callable, Iterator, Sequence
@@ -421,6 +424,20 @@ class VerifyReport:
         }
 
 
+def _scan(name, family, n, cases, details=None) -> VerifyReport:
+    """The report of a pointwise check: cases yields None or a counterexample
+    per case, in rank order; the scan stops at the first counterexample, and
+    checked counts the cases taken, that one included."""
+    checked, counterexample = 0, None
+    for checked, counterexample in enumerate(cases, 1):
+        if counterexample is not None:
+            break
+    return VerifyReport(
+        name, family, n, counterexample is None, checked, counterexample,
+        details or {},
+    )
+
+
 # bijection name -> (family, function, [(source stat, image stat)],
 #                    [(source set stat, image set stat)])
 BIJECTIONS: dict[str, tuple] = {
@@ -448,80 +465,65 @@ BIJECTIONS: dict[str, tuple] = {
 }
 
 
+def _transport_pairs(bijection: str) -> list[tuple]:
+    """The bijection's statistic pairs as (source name, image name, source
+    function, image function), integer pairs first; the functions of a set
+    pair return sorted lists."""
+    family, _, _, int_pairs, set_pairs = BIJECTIONS[bijection]
+
+    def sorted_values(name):
+        stat = set_statistic(family, name)[1]
+        return lambda w: sorted(stat(w))
+
+    return [
+        (a, b, integer_statistic(family, a)[1], integer_statistic(family, b)[1])
+        for a, b in int_pairs
+    ] + [(a, b, sorted_values(a), sorted_values(b)) for a, b in set_pairs]
+
+
 def verify_transport(bijection: str, n: int) -> VerifyReport:
     """Check pointwise statistic transport and bijectivity on the whole group.
 
     Each image must be a member of the group, have a rank no other image
-    has, and carry the image statistics of its source.
+    has, be mapped back to its source by the stored inverse, and carry the
+    image statistics of its source.
     """
     if bijection not in BIJECTIONS:
         raise ValueError(
             f"unknown bijection {bijection!r}; choose from: "
             + ", ".join(sorted(BIJECTIONS))
         )
-    family, func, _inv_func, int_pairs, set_pairs = BIJECTIONS[bijection]
-    order = group_order(family, n)
-    int_fns = [
-        (a, b, integer_statistic(family, a)[1], integer_statistic(family, b)[1])
-        for a, b in int_pairs
-    ]
-    set_fns = [
-        (a, b, set_statistic(family, a)[1], set_statistic(family, b)[1])
-        for a, b in set_pairs
-    ]
+    family, func, inv_func = BIJECTIONS[bijection][:3]
+    seen = bytearray(group_order(family, n))
+    pairs = _transport_pairs(bijection)
     member = _MEMBERS[family]
     rank_of = _ranker(family, n)
-    seen = bytearray(order)
-    counterexample = None
-    checked = 0
-    for el in enumerate_group(family, n):
+
+    def case(el):
         image = func(el)
-        checked += 1
         # the rank core gives a non-member the rank of some member, or raises
         if len(image) != n or not member(image):
-            counterexample = {
-                "element": list(el),
-                "image": list(image),
-                "reason": "image not in group",
-            }
-            break
-        r = rank_of(image)
-        if seen[r]:
-            counterexample = {
-                "element": list(el),
-                "image": list(image),
-                "reason": "duplicate image",
-            }
-            break
-        seen[r] = 1
-        bad = None
-        for a, b, fa, fb in int_fns:
-            va, vb = fa(el), fb(image)
-            if va != vb:
-                bad = {"statistic": f"{a} -> {b}", "source": va, "image": vb}
-                break
-        if bad is None:
-            for a, b, fa, fb in set_fns:
-                va, vb = sorted(fa(el)), sorted(fb(image))
+            fault = {"reason": "image not in group"}
+        elif seen[r := rank_of(image)]:
+            fault = {"reason": "duplicate image"}
+        elif (back := inv_func(image)) != el:
+            fault = {"inverse": list(back), "reason": "inverse mismatch"}
+        else:
+            seen[r] = 1
+            for a, b, fa, fb in pairs:
+                va, vb = fa(el), fb(image)
                 if va != vb:
-                    bad = {"statistic": f"{a} -> {b}", "source": va, "image": vb}
+                    fault = {"statistic": f"{a} -> {b}",
+                             "source_value": va, "image_value": vb}
                     break
-        if bad is not None:
-            counterexample = {
-                "element": list(el),
-                "image": list(image),
-                **bad,
-            }
-            break
-    pairs_text = ", ".join(f"{a} -> {b}" for a, b in int_pairs + set_pairs)
-    return VerifyReport(
-        name=f"transport-{bijection}",
-        family=family,
-        n=n,
-        passed=counterexample is None,
-        checked=checked,
-        counterexample=counterexample,
-        details={"bijection": bijection, "pairs": pairs_text},
+            else:
+                return None
+        return {"element": list(el), "image": list(image), **fault}
+
+    pairs_text = ", ".join(f"{a} -> {b}" for a, b, _, _ in pairs)
+    return _scan(
+        f"transport-{bijection}", family, n, map(case, enumerate_group(family, n)),
+        {"bijection": bijection, "pairs": pairs_text},
     )
 
 
@@ -626,47 +628,21 @@ def cayley_distance(
     return cayley_distance_table(family, n, set_name)[r]
 
 
-def _report(name, family, n, passed, checked, counterexample=None, details=None):
-    return VerifyReport(
-        name=name,
-        family=family,
-        n=n,
-        passed=passed,
-        checked=checked,
-        counterexample=counterexample,
-        details=details or {},
-    )
+# The checks in CHECKS leave the report's name to run_check, and take workers
+# even where they run in one process.  They look up the public functions they
+# call at call time, so that wrappers put on those apply.
 
 
-def _check_gf(name, family, n, pair1, pair2, product, workers):
+def _check_gf(family, pair1, pair2, formula, n, workers=1):
+    product = getattr(qpoly, formula)(n)
     d1, d2 = map(QT, _sweep(family, n, (pair1, pair2), workers))
-    passed = d1 == d2 == product
     details = {
         f"joint({pair1[0]}, {pair1[1]})": d1.text(),
         f"joint({pair2[0]}, {pair2[1]})": d2.text(),
         "product_formula": product.text(),
     }
-    return _report(name, family, n, passed, 2 * group_order(family, n), None, details)
-
-
-def _check_type_a_gf(n, workers=1):
-    return _check_gf(
-        "type-a-gf", "A", n, ("inv", "rl-min"), ("sor", "cyc"),
-        qpoly.gf_type_a(n), workers,
-    )
-
-
-def _check_type_b_gf(n, workers=1):
-    return _check_gf(
-        "type-b-gf", "B", n, ("inv_B", "nmin_B"), ("sor_B", "l'_B"),
-        qpoly.gf_type_b(n), workers,
-    )
-
-
-def _check_type_d_bivariate(n, workers=1):
-    return _check_gf(
-        "type-d-bivariate", "D", n, ("inv_D", "nmin_D"), ("sor_D", "lt'_D"),
-        qpoly.gf_type_d_bivariate(n), workers,
+    return VerifyReport(
+        "", family, n, d1 == d2 == product, 2 * group_order(family, n), None, details
     )
 
 
@@ -677,43 +653,27 @@ def _check_type_d_mahonian(n, workers=1):
     d1 = QT({(q, 0): count for (q,), count in inv.items()})
     d2 = QT({(q, 0): count for (q,), count in sor.items()})
     product = qpoly.gf_type_d_univariate(n)
-    passed = d1 == d2 == product
     details = {
         "inv_D at t=1": d1.text(),
         "sor_D at t=1": d2.text(),
         "product_formula": product.text(),
     }
-    return _report(
-        "type-d-mahonian", "D", n, passed, 2 * group_order("D", n), None, details
+    return VerifyReport(
+        "", "D", n, d1 == d2 == product, 2 * group_order("D", n), None, details
     )
 
 
-def _check_four_pairs(name, family, n, pairs, workers):
+def _check_four_pairs(family, pairs, n, workers=1):
     dists = list(zip(pairs, map(QT, _sweep(family, n, pairs, workers))))
     base = dists[0][1]
     passed = all(d == base for _, d in dists)
     details = {f"joint({a}, {b})": d.text() for (a, b), d in dists}
-    return _report(
-        name, family, n, passed, len(pairs) * group_order(family, n), None, details
+    return VerifyReport(
+        "", family, n, passed, len(pairs) * group_order(family, n), None, details
     )
 
 
-def _check_type_a_four_pairs(n, workers=1):
-    pairs = [("sor", "cyc"), ("inv", "rl-min"), ("inv", "lr-max"), ("sor", "lr-max")]
-    return _check_four_pairs("type-a-four-pairs", "A", n, pairs, workers)
-
-
-def _check_type_b_four_pairs(n, workers=1):
-    pairs = [
-        ("sor_B", "l'_B"),
-        ("inv_B", "nmin_B"),
-        ("inv_B", "nmax_B"),
-        ("sor_B", "nmax_B"),
-    ]
-    return _check_four_pairs("type-b-four-pairs", "B", n, pairs, workers)
-
-
-def _check_set_pairs(name, family, n, stats, workers):
+def _check_set_pairs(family, stats, n, workers=1):
     pairs = [(a, b) for a in stats for b in stats if a != b]
     dists = list(zip(pairs, _sweep(family, n, pairs, workers)))
     base = dists[0][1]
@@ -729,76 +689,40 @@ def _check_set_pairs(name, family, n, stats, workers):
                 "expected": base.get(key, 0),
             }
             break
-    return _report(
-        name,
-        family,
-        n,
-        counterexample is None,
-        len(pairs) * group_order(family, n),
-        counterexample,
-        {"pairs": ", ".join(f"({a}, {b})" for a, b in pairs)},
-    )
-
-
-def _check_type_a_set_pairs(n, workers=1):
-    return _check_set_pairs(
-        "type-a-set-pairs", "A", n, ("Cyc", "Lmap", "Rmil"), workers
-    )
-
-
-def _check_type_b_set_pairs(n, workers=1):
-    return _check_set_pairs(
-        "type-b-set-pairs", "B", n, ("Cyc_B", "Lmap_B", "Rmil_B"), workers
+    checked = len(pairs) * group_order(family, n)
+    details = {"pairs": ", ".join(f"({a}, {b})" for a, b in pairs)}
+    return VerifyReport(
+        "", family, n, counterexample is None, checked, counterexample, details
     )
 
 
 def _check_type_d_sor_prime(n, workers=1):
-    counterexample = None
-    checked = 0
-    for el in enumerate_group("D", n):
-        checked += 1
-        a = perm_d.sor_d(el)
-        b = perm_d.sor_d_prime(el)
-        if a != b:
-            counterexample = {"element": list(el), "sor_D": a, "sor'_D": b}
-            break
-    return _report(
-        "type-d-sor-prime", "D", n, counterexample is None, checked, counterexample
+    def case(el):
+        a, b = perm_d.sor_d(el), perm_d.sor_d_prime(el)
+        return None if a == b else {"element": list(el), "sor_D": a, "sor'_D": b}
+
+    return _scan("", "D", n, map(case, enumerate_group("D", n)))
+
+
+def _transport(bijection, n, workers=1):
+    return verify_transport(bijection, n)
+
+
+def _check_oracle(family, set_name, stat_name, n, workers=1):
+    table = cayley_distance_table(family, n, set_name)
+    _, stat = integer_statistic(family, stat_name)
+
+    def case(el, expected):
+        got = stat(el)
+        return None if got == expected else {
+            "element": list(el), stat_name: got, f"distance over {set_name}": expected
+        }
+
+    # the table is indexed by rank, which is the enumeration order
+    return _scan(
+        "", family, n, map(case, enumerate_group(family, n), table),
+        {"generating_set": set_name, "statistic": stat_name},
     )
-
-
-def _check_transport(bijection):
-    def run(n, workers=1):
-        report = verify_transport(bijection, n)
-        report.name = f"type-{BIJECTIONS[bijection][0].lower()}-transport"
-        return report
-
-    return run
-
-
-def _check_oracle(name, family, set_name, stat_name):
-    def run(n, workers=1):
-        table = cayley_distance_table(family, n, set_name)
-        _, stat = integer_statistic(family, stat_name)
-        counterexample = None
-        checked = 0
-        # the table is indexed by rank, which is the enumeration order
-        for el, expected in zip(enumerate_group(family, n), table):
-            checked += 1
-            got = stat(el)
-            if got != expected:
-                counterexample = {
-                    "element": list(el),
-                    stat_name: got,
-                    f"distance over {set_name}": expected,
-                }
-                break
-        return _report(
-            name, family, n, counterexample is None, checked, counterexample,
-            {"generating_set": set_name, "statistic": stat_name},
-        )
-
-    return run
 
 
 _CODE_PAIRS = {
@@ -819,58 +743,60 @@ _CODE_PAIRS = {
 }
 
 
-def _check_codes(family):
-    def run(n, workers=1):
-        name = f"codes-{family.lower()}"
-        pairs = _CODE_PAIRS[family]
-        checked = 0
+def _check_codes(family, n, workers=1):
+    group_order(family, n)  # refuse a bad n before walking any code
+    pairs = _CODE_PAIRS[family]
+
+    def cases():
         for code in itertools.product(*_code_values(family, n)):
             for label, encode, decode in pairs:
-                checked += 1
-                if encode(decode(code)) != code:
-                    return _report(
-                        name, family, n, False, checked,
-                        {"code": list(code), "pair": label,
-                         "reason": "encode(decode(code)) != code"},
-                    )
+                yield None if encode(decode(code)) == code else {
+                    "code": list(code), "pair": label,
+                    "reason": "encode(decode(code)) != code",
+                }
         for el in enumerate_group(family, n):
             for label, encode, decode in pairs:
-                checked += 1
-                if decode(encode(el)) != el:
-                    return _report(
-                        name, family, n, False, checked,
-                        {"element": list(el), "pair": label,
-                         "reason": "decode(encode(element)) != element"},
-                    )
-        return _report(name, family, n, True, checked)
+                yield None if decode(encode(el)) == el else {
+                    "element": list(el), "pair": label,
+                    "reason": "decode(encode(element)) != element",
+                }
 
-    return run
+    return _scan("", family, n, cases())
 
 
 CHECKS: dict[str, Callable[..., VerifyReport]] = {
-    "type-a-gf": _check_type_a_gf,
-    "type-a-transport": _check_transport("phi"),
-    "type-a-set-pairs": _check_type_a_set_pairs,
-    "type-a-four-pairs": _check_type_a_four_pairs,
-    "type-b-gf": _check_type_b_gf,
-    "type-b-transport": _check_transport("psi"),
-    "type-b-set-pairs": _check_type_b_set_pairs,
-    "type-b-four-pairs": _check_type_b_four_pairs,
+    "type-a-gf": partial(
+        _check_gf, "A", ("inv", "rl-min"), ("sor", "cyc"), "gf_type_a"
+    ),
+    "type-a-transport": partial(_transport, "phi"),
+    "type-a-set-pairs": partial(_check_set_pairs, "A", ("Cyc", "Lmap", "Rmil")),
+    "type-a-four-pairs": partial(
+        _check_four_pairs, "A",
+        [("sor", "cyc"), ("inv", "rl-min"), ("inv", "lr-max"), ("sor", "lr-max")],
+    ),
+    "type-b-gf": partial(
+        _check_gf, "B", ("inv_B", "nmin_B"), ("sor_B", "l'_B"), "gf_type_b"
+    ),
+    "type-b-transport": partial(_transport, "psi"),
+    "type-b-set-pairs": partial(_check_set_pairs, "B", ("Cyc_B", "Lmap_B", "Rmil_B")),
+    "type-b-four-pairs": partial(
+        _check_four_pairs, "B",
+        [("sor_B", "l'_B"), ("inv_B", "nmin_B"), ("inv_B", "nmax_B"),
+         ("sor_B", "nmax_B")],
+    ),
     "type-d-sor-prime": _check_type_d_sor_prime,
-    "type-d-bivariate": _check_type_d_bivariate,
+    "type-d-bivariate": partial(
+        _check_gf, "D", ("inv_D", "nmin_D"), ("sor_D", "lt'_D"), "gf_type_d_bivariate"
+    ),
     "type-d-mahonian": _check_type_d_mahonian,
-    "type-d-transport": _check_transport("rho"),
-    "oracle-reflection-length-b": _check_oracle(
-        "oracle-reflection-length-b", "B", "T^B", "l'_B"
-    ),
-    "oracle-reflection-length-d": _check_oracle(
-        "oracle-reflection-length-d", "D", "T^D", "lt'_D"
-    ),
-    "oracle-length-b": _check_oracle("oracle-length-b", "B", "S^B", "inv_B"),
-    "oracle-length-d": _check_oracle("oracle-length-d", "D", "S^D", "inv_D"),
-    "codes-a": _check_codes("A"),
-    "codes-b": _check_codes("B"),
-    "codes-d": _check_codes("D"),
+    "type-d-transport": partial(_transport, "rho"),
+    "oracle-reflection-length-b": partial(_check_oracle, "B", "T^B", "l'_B"),
+    "oracle-reflection-length-d": partial(_check_oracle, "D", "T^D", "lt'_D"),
+    "oracle-length-b": partial(_check_oracle, "B", "S^B", "inv_B"),
+    "oracle-length-d": partial(_check_oracle, "D", "S^D", "inv_D"),
+    "codes-a": partial(_check_codes, "A"),
+    "codes-b": partial(_check_codes, "B"),
+    "codes-d": partial(_check_codes, "D"),
 }
 
 
@@ -881,4 +807,6 @@ def run_check(name: str, n: int, workers: int = 1) -> VerifyReport:
             f"unknown check {name!r}; choose from: " + ", ".join(sorted(CHECKS))
         )
     _check_workers(workers)
-    return CHECKS[name](n, workers=workers)
+    report = CHECKS[name](n, workers=workers)
+    report.name = name
+    return report

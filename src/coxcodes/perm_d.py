@@ -156,14 +156,7 @@ def nmin_d(s: SignedPerm) -> int:
     >>> nmin_d((2, -4, 5, 1, -3))
     4
     """
-    count = 0
-    low = None
-    for x in reversed(s):
-        if low is not None and x > low:
-            count += 1
-        if low is None or abs(x) < low:
-            low = abs(x)
-    return count + sum(1 for x in s if x < -1)
+    return perm_b.nmin_b(s) - (-1 in s)
 
 
 def reflection_length_d(s: SignedPerm) -> int:

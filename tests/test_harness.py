@@ -454,3 +454,100 @@ def test_unrank_rank_random(fam_n, seed):
     r = seed % order
     el = harness.unrank(family, n, r)
     assert harness.rank(family, n, el) == r
+
+
+def test_every_check_refuses_out_of_range_n(monkeypatch):
+    families = {name: harness.run_check(name, 3).family for name in harness.CHECKS}
+
+    def refuse(code):
+        raise AssertionError(f"decoded {code} outside the supported ranks")
+
+    # a check that walks codes before it validates n fails here, not hangs
+    for family, pairs in harness._CODE_PAIRS.items():
+        monkeypatch.setitem(
+            harness._CODE_PAIRS, family,
+            [(label, encode, refuse) for label, encode, _ in pairs],
+        )
+    for name, family in families.items():
+        for n in (harness._MIN_N[family] - 1, harness._MAX_N[family] + 1):
+            with pytest.raises(ValueError):
+                harness.run_check(name, n)
+
+
+def test_broken_sor_prime_makes_its_check_fail(monkeypatch):
+    sor_d_prime = perm_d.sor_d_prime
+    target = harness.unrank("D", 4, 77)
+    monkeypatch.setattr(
+        perm_d, "sor_d_prime", lambda s: sor_d_prime(s) + (s == target)
+    )
+    report = harness.run_check("type-d-sor-prime", 4)
+    assert not report.passed
+    assert report.checked == 78
+    assert report.counterexample == {
+        "element": [1, 3, 2, 4], "sor_D": 1, "sor'_D": 2,
+    }
+
+
+def test_broken_encoder_makes_codes_check_fail(monkeypatch):
+    pairs = list(harness._CODE_PAIRS["B"])
+    label, encode, decode = pairs[1]
+    target = harness.unrank("B", 3, 20)
+    pairs[1] = (
+        label, lambda s: encode(s)[::-1] if s == target else encode(s), decode
+    )
+    monkeypatch.setitem(harness._CODE_PAIRS, "B", pairs)
+    report = harness.run_check("codes-b", 3)
+    assert not report.passed
+    assert report.checked == 80
+    assert report.counterexample == {
+        "code": list(encode(target)),
+        "pair": "acode",
+        "reason": "encode(decode(code)) != code",
+    }
+
+
+def test_transport_statistic_mismatch_keeps_the_image(monkeypatch):
+    sor = harness.INTEGER_STATISTICS["A"]["sor"]
+    monkeypatch.setitem(
+        harness.INTEGER_STATISTICS["A"], "sor", lambda s: sor(s) + (s == (2, 1, 3))
+    )
+    report = harness.run_check("type-a-transport", 3)
+    assert not report.passed and report.checked == 5
+    assert report.counterexample == {
+        "element": [2, 1, 3],
+        "image": [2, 1, 3],
+        "statistic": "inv -> sor",
+        "source_value": 1,
+        "image_value": 2,
+    }
+    monkeypatch.undo()
+    cyc_b = harness.SET_STATISTICS["B"]["Cyc_B"]
+    image = (-2, -1, 3)  # the image of (-2, 1, 3), rank 17
+    monkeypatch.setitem(
+        harness.SET_STATISTICS["B"], "Cyc_B",
+        lambda w: cyc_b(w) | {9} if w == image else cyc_b(w),
+    )
+    report = harness.run_check("type-b-transport", 3)
+    assert not report.passed and report.checked == 18
+    assert report.counterexample == {
+        "element": [-2, 1, 3],
+        "image": [-2, -1, 3],
+        "statistic": "Rmil_B -> Cyc_B",
+        "source_value": [1, 3],
+        "image_value": [1, 3, 9],
+    }
+
+
+def test_wrong_inverse_is_caught(monkeypatch):
+    family, phi, _, int_pairs, set_pairs = harness.BIJECTIONS["phi"]
+    monkeypatch.setitem(
+        harness.BIJECTIONS, "phi", (family, phi, lambda s: s, int_pairs, set_pairs)
+    )
+    report = harness.run_check("type-a-transport", 4)
+    assert not report.passed and report.checked == 1
+    assert report.counterexample == {
+        "element": [4, 3, 2, 1],
+        "image": [4, 1, 2, 3],
+        "inverse": [4, 1, 2, 3],
+        "reason": "inverse mismatch",
+    }
