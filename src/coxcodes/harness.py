@@ -11,10 +11,13 @@ B up to 8, D from 2 up to 8; anything larger is refused outright rather
 than truncated.
 
 Public ``rank`` validates its input: the length must be n and the element a
-member of the group.  The loops that rank elements they built themselves
-(the BFS oracle tables and the transport check) call the unchecked core
-(``_ranker``) instead, and the oracles read the distance table in rank order
-beside the enumeration, so they rank nothing at all.
+member of the group.  The BFS behind the oracle tables walks inverse words
+and ranks each by two table lookups (``_rank_tables``, built once per group
+with the unchecked core ``_ranker``).  The oracles read the distance table in
+rank order beside the enumeration, and the transport check proves
+bijectivity by membership and the stored inverse, so neither ranks anything
+on its passing path; a transport failure ranks two members with the core to
+tell a duplicate image from a wrong inverse.
 
 Named checks (see CHECKS) re-prove the equidistribution and transport
 identities by direct evaluation on every element; their results are report
@@ -34,7 +37,6 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import prod
 from operator import getitem, itemgetter
@@ -164,6 +166,53 @@ def _ranker(family: str, n: int) -> Callable[[Sequence[int]], int]:
         return sum(map(getitem, tables, encode(element)))
 
     return core
+
+
+@lru_cache(maxsize=None)
+def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
+    """Rank by two table lookups on the inverse word: (k, head, tail).
+
+    With k = n // 2 and t the inverse of a member s, the rank of s is
+    head[t[:k]] + tail[t[k:]].  The ranking codes of A, B and D all split
+    this way on the inverse word (D's deletion code does not split on s
+    itself).  Heads and tails fall into components, which are the value set
+    of the head, and in D also its bar parity, since a D head and tail join
+    into a member only when their bar counts have the same parity.  Within a
+    component the rank is a sum of a head term and a tail term, each fixed by
+    ranking one reference pair with _ranker: a head's entry is the rank of it
+    joined to the component's first tail, and a tail's entry is the rank of
+    the component's first head joined to it, less the rank of the two firsts.
+    """
+    core = _ranker(family, n)
+    k = n // 2
+    letters = _code_values(family, n)[-1]  # every letter of the family's words
+    full = frozenset(range(1, n + 1))
+    even = family == "D"
+
+    def components(m):
+        """Words of m letters with distinct values, by (value set, parity)."""
+        parts: dict[tuple, list] = {}
+        for w in itertools.permutations(letters, m):
+            values = frozenset(map(abs, w))
+            if len(values) == m:
+                bars = sum(v < 0 for v in w) % 2 if even else 0
+                parts.setdefault((values, bars), []).append(w)
+        return parts
+
+    def rank_word(t):
+        return core(perm_b.inverse(t))
+
+    tails = components(n - k)
+    head, tail = {}, {}
+    for (values, bars), heads in components(k).items():
+        joins = tails[full - values, bars]
+        h0, t0 = heads[0], joins[0]
+        base = rank_word(h0 + t0)
+        for h in heads:
+            head[h] = rank_word(h + t0)
+        for t in joins:
+            tail[t] = rank_word(h0 + t) - base
+    return k, head, tail
 
 
 def unrank(family: str, n: int, r: int) -> tuple[int, ...]:
@@ -400,17 +449,26 @@ def set_pair_distribution(family: str, n: int, stat1: str, stat2: str) -> Counte
     return sweep(family, n, names)
 
 
-@dataclass
 class VerifyReport:
     """Outcome of one named check; failures are data, not exceptions."""
 
-    name: str
-    family: str
-    n: int
-    passed: bool
-    checked: int
-    counterexample: dict | None = None
-    details: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        family: str,
+        n: int,
+        passed: bool,
+        checked: int,
+        counterexample: dict | None = None,
+        details: dict | None = None,
+    ) -> None:
+        self.name = name
+        self.family = family
+        self.n = n
+        self.passed = passed
+        self.checked = checked
+        self.counterexample = counterexample
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
         return {
@@ -433,8 +491,7 @@ def _scan(name, family, n, cases, details=None) -> VerifyReport:
         if counterexample is not None:
             break
     return VerifyReport(
-        name, family, n, counterexample is None, checked, counterexample,
-        details or {},
+        name, family, n, counterexample is None, checked, counterexample, details
     )
 
 
@@ -484,9 +541,11 @@ def _transport_pairs(bijection: str) -> list[tuple]:
 def verify_transport(bijection: str, n: int) -> VerifyReport:
     """Check pointwise statistic transport and bijectivity on the whole group.
 
-    Each image must be a member of the group, have a rank no other image
-    has, be mapped back to its source by the stored inverse, and carry the
-    image statistics of its source.
+    Each image must be a member of the group, be mapped back to its source
+    by the stored inverse, and carry the image statistics of its source.  The
+    first two make the map injective on a finite group, hence a bijection.  A
+    failed inverse test is reported as a duplicate image when an earlier
+    element has the same image.
     """
     if bijection not in BIJECTIONS:
         raise ValueError(
@@ -494,22 +553,24 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
             + ", ".join(sorted(BIJECTIONS))
         )
     family, func, inv_func = BIJECTIONS[bijection][:3]
-    seen = bytearray(group_order(family, n))
+    group_order(family, n)  # refuse a bad n before mapping any element
     pairs = _transport_pairs(bijection)
     member = _MEMBERS[family]
     rank_of = _ranker(family, n)
 
     def case(el):
         image = func(el)
-        # the rank core gives a non-member the rank of some member, or raises
         if len(image) != n or not member(image):
             fault = {"reason": "image not in group"}
-        elif seen[r := rank_of(image)]:
-            fault = {"reason": "duplicate image"}
         elif (back := inv_func(image)) != el:
-            fault = {"inverse": list(back), "reason": "inverse mismatch"}
+            # an earlier element with this image passed its own inverse test,
+            # so it can only be back; the rank core needs a member
+            if (len(back) == n and member(back)
+                    and rank_of(back) < rank_of(el) and func(back) == image):
+                fault = {"reason": "duplicate image"}
+            else:
+                fault = {"inverse": list(back), "reason": "inverse mismatch"}
         else:
-            seen[r] = 1
             for a, b, fa, fb in pairs:
                 va, vb = fa(el), fb(image)
                 if va != vb:
@@ -583,31 +644,38 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
     """Distances from the identity in the Cayley graph, indexed by rank.
 
     Breadth-first search over the whole group; refuses orders above
-    100000 elements.  Images are ranked by the unchecked core: composing
-    members gives members.  Distances are kept in a rank-indexed bytearray
-    (255 = not reached yet), which holds the diameters of every group the
-    limit admits (at most n^2 = 36, for S^B on B6).
+    100000 elements.  The search walks inverse words: (s g)^-1 = g^-1 s^-1,
+    so a step by g maps each letter x of s^-1 to g^-1(x), one lookup in a
+    table of g^-1 indexed by signed letter (a barred letter indexes from the
+    end).  Each image is ranked by its two halves (_rank_tables), so no
+    element is composed or encoded per edge.  Distances are kept in a
+    rank-indexed bytearray (255 = not reached yet), which holds the diameters
+    of every group the limit admits (at most n^2 = 36, for S^B on B6).
     """
     order = group_order(family, n)
     if order > _BFS_LIMIT:
         raise ValueError(
             f"group order {order} exceeds the BFS limit {_BFS_LIMIT}"
         )
-    gens = generating_set(family, n, set_name)
-    compose = perm_b.compose  # a permutation composes as a signed one
-    rank_of = _ranker(family, n)
+    k, head, tail = _rank_tables(family, n)
+    moves = []
+    for g in generating_set(family, n, set_name):
+        sub = [0] * (2 * n + 1)
+        for x, y in enumerate(perm_b.inverse(g), 1):
+            sub[x], sub[-x] = y, -y
+        moves.append(sub.__getitem__)
     dist = bytearray(b"\xff") * order
     ident = identity_of(family, n)
-    dist[rank_of(ident)] = 0
+    dist[head[ident[:k]] + tail[ident[k:]]] = 0
     frontier = [ident]
     d = 0
     while frontier:
         d += 1
         next_frontier = []
-        for el in frontier:
-            for g in gens:
-                image = compose(el, g)
-                r = rank_of(image)
+        for t in frontier:
+            for move in moves:
+                image = tuple(map(move, t))
+                r = head[image[:k]] + tail[image[k:]]
                 if dist[r] == 255:
                     dist[r] = d
                     next_frontier.append(image)

@@ -19,8 +19,7 @@ a = j are accepted as identity markers but never produced.
 from __future__ import annotations
 
 from bisect import bisect, insort
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 SignedPerm = tuple[int, ...]
 SignedCode = tuple[int, ...]
@@ -69,9 +68,14 @@ def is_signed_permutation(images: Sequence[int]) -> bool:
     n = len(images)
     seen = [False] * (n + 1)
     for v in images:
-        if isinstance(v, bool) or not isinstance(v, int):
+        # a plain int in range skips the type tests, which still decide
+        # everything else (bool is no letter; an int subclass is one)
+        if type(v) is int and -n <= v <= n:
+            a = v if v >= 0 else -v
+        elif isinstance(v, bool) or not isinstance(v, int):
             return False
-        a = abs(v)
+        else:
+            a = abs(v)
         if not 1 <= a <= n or seen[a]:
             return False
         seen[a] = True
@@ -240,8 +244,7 @@ def _sorting_weight(s: SignedPerm, bar_weight: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SignedCycle:
+class SignedCycle(NamedTuple):
     """One cycle of |s| together with the set of its barred values."""
 
     values: tuple[int, ...]  # cycle of the underlying permutation, min first
@@ -385,6 +388,8 @@ def validate_code_b(code: Iterable[int]) -> SignedCode:
     """Check c_i in [-i, i] and c_i != 0 for every entry."""
     c = tuple(code)
     for i, ci in enumerate(c, 1):
+        if type(ci) is int and -i <= ci <= i and ci:
+            continue
         if isinstance(ci, bool) or not isinstance(ci, int) or ci == 0 or abs(ci) > i:
             raise ValueError(
                 f"code entry c_{i}={ci} outside [-{i}, {i}] minus 0"

@@ -187,16 +187,18 @@ def test_bad_parallel_is_a_usage_error(capsys):
 
 
 def test_cli_import_leaves_process_pool_unloaded():
-    # the pool module is imported only by a sweep that uses workers
+    # the pool module is imported only by a sweep that uses workers, and
+    # dataclasses (which imports inspect) not at all
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, coxcodes.cli; print('concurrent.futures.process' in sys.modules)"],
+         "import sys, coxcodes.cli; "
+         "print('concurrent.futures.process' in sys.modules, 'dataclasses' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def test_verify_falsified_exit_code(capsys):

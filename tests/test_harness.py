@@ -71,11 +71,16 @@ def test_rank_rejects_wrong_length_and_non_members():
 
 
 def test_ranker_core_matches_enumeration_order():
-    # the rank of an element is, by definition, its index in enumerate_group
+    # the rank of an element is, by definition, its index in enumerate_group;
+    # the rank tables give it too, from the halves of the inverse word
     for family, n in (("A", 7), ("B", 6), ("D", 6)):
         core = harness._ranker(family, n)
         ranks = [core(el) for el in harness.enumerate_group(family, n)]
         assert ranks == list(range(harness.group_order(family, n)))
+        k, head, tail = harness._rank_tables(family, n)
+        assert k == n // 2
+        words = map(perm_b.inverse, harness.enumerate_group(family, n))
+        assert [head[t[:k]] + tail[t[k:]] for t in words] == ranks
 
 
 def test_enumerate_group_slicing():
@@ -291,11 +296,40 @@ def reference_distances(family, n, set_name):
 
 
 def test_cayley_tables_match_plain_bfs():
-    for family, n in (("A", 5), ("B", 4), ("B", 5), ("D", 4), ("D", 5)):
-        for set_name in harness.GENERATING_SET_NAMES[family]:
-            assert harness.cayley_distance_table(family, n, set_name) == (
-                reference_distances(family, n, set_name)
-            )
+    cases = [
+        (family, n, set_name)
+        for family, n in (("A", 5), ("B", 4), ("B", 5), ("D", 4), ("D", 5))
+        for set_name in harness.GENERATING_SET_NAMES[family]
+    ]
+    for family, n, set_name in cases + [("B", 6, "S^B")]:
+        assert harness.cayley_distance_table(family, n, set_name) == (
+            reference_distances(family, n, set_name)
+        )
+
+
+def test_broken_rank_table_makes_its_oracle_fail(monkeypatch):
+    rank_tables = harness._rank_tables
+
+    def shifted(family, n):
+        # the identity's tail entry, off by one, in a copy of the tables
+        k, head, tail = rank_tables(family, n)
+        tail = dict(tail)
+        tail[tuple(range(k + 1, n + 1))] += 1
+        return k, head, tail
+
+    monkeypatch.setattr(harness, "_rank_tables", shifted)
+    harness.cayley_distance_table.cache_clear()
+    try:
+        table = harness.cayley_distance_table("B", 4, "S^B")
+        report = harness.run_check("oracle-length-b", 4)
+    finally:
+        harness.cayley_distance_table.cache_clear()
+    assert table != reference_distances("B", 4, "S^B")
+    assert not report.passed
+    ce = report.counterexample
+    assert set(ce) == {"element", "inv_B", "distance over S^B"}
+    assert ce["inv_B"] == perm_b.inv_b(tuple(ce["element"]))
+    assert ce["distance over S^B"] != ce["inv_B"]
 
 
 def test_hot_paths_never_call_public_rank(monkeypatch):
@@ -327,6 +361,44 @@ def test_non_injective_bijection_is_caught(monkeypatch):
         "element": list(second),
         "image": list(psi(first)),
         "reason": "duplicate image",
+    }
+
+
+def test_duplicate_of_the_first_element_is_caught(monkeypatch):
+    family, psi, psi_inverse, int_pairs, set_pairs = harness.BIJECTIONS["psi"]
+    order = harness.group_order("B", 4)
+    first, last = harness.unrank("B", 4, 0), harness.unrank("B", 4, order - 1)
+    monkeypatch.setitem(
+        harness.BIJECTIONS, "psi",
+        (family, lambda s: psi(first if s == last else s), psi_inverse,
+         int_pairs, set_pairs),
+    )
+    report = harness.run_check("type-b-transport", 4)
+    assert not report.passed and report.checked == order
+    assert report.counterexample == {
+        "element": list(last),
+        "image": list(psi(first)),
+        "reason": "duplicate image",
+    }
+
+
+def test_image_of_a_later_element_is_an_inverse_mismatch(monkeypatch):
+    # the later element has not been mapped yet, so no earlier one shares
+    # the image: the stored inverse points past the element
+    family, psi, psi_inverse, int_pairs, set_pairs = harness.BIJECTIONS["psi"]
+    first, second = harness.unrank("B", 4, 0), harness.unrank("B", 4, 1)
+    monkeypatch.setitem(
+        harness.BIJECTIONS, "psi",
+        (family, lambda s: psi(second if s == first else s), psi_inverse,
+         int_pairs, set_pairs),
+    )
+    report = harness.run_check("type-b-transport", 4)
+    assert not report.passed and report.checked == 1
+    assert report.counterexample == {
+        "element": list(first),
+        "image": list(psi(second)),
+        "inverse": list(second),
+        "reason": "inverse mismatch",
     }
 
 
@@ -400,6 +472,21 @@ def test_broken_length_makes_its_oracle_fail(monkeypatch):
 def test_bfs_refuses_large_groups():
     with pytest.raises(ValueError):
         harness.cayley_distance_table("B", 7, "T^B")
+
+
+def test_verify_report_constructor():
+    by_place = harness.VerifyReport("c", "B", 3, True, 48)
+    by_name = harness.VerifyReport(
+        name="c", family="B", n=3, passed=True, checked=48
+    )
+    assert by_place.to_dict() == by_name.to_dict() == {
+        "check": "c", "family": "B", "n": 3, "passed": True, "checked": 48,
+        "counterexample": None, "details": {},
+    }
+    assert by_place.details is not by_name.details
+    report = harness.VerifyReport("c", "A", 1, False, 1, {"element": [1]}, {"k": "v"})
+    assert report.counterexample == {"element": [1]}
+    assert report.details == {"k": "v"}
 
 
 def test_run_check():

@@ -1,6 +1,7 @@
 """Unit and property tests for the signed permutation module."""
 
 import doctest
+import enum
 import itertools
 
 import pytest
@@ -71,6 +72,11 @@ def test_doctests():
     assert doctest.testmod(perm_b).failed == 0
 
 
+class Letter(enum.IntEnum):
+    ONE = 1
+    MINUS_TWO = -2
+
+
 def test_validate_signed():
     assert perm_b.validate_signed([2, -1]) == (2, -1)
     with pytest.raises(ValueError):
@@ -82,6 +88,37 @@ def test_validate_signed():
     assert not perm_b.is_signed_permutation((-2, True))
     with pytest.raises(ValueError):
         perm_b.validate_code_b((True, -2))
+    assert perm_b.validate_code_b([1, -2, 3]) == (1, -2, 3)
+    code = perm_b.validate_code_b((Letter.ONE, Letter.MINUS_TWO))
+    assert code == (1, -2) and type(code[1]) is Letter
+
+
+@pytest.mark.parametrize("images, verdict", [
+    ((True,), False),
+    ((1.0,), False),
+    ((Letter.ONE, Letter.MINUS_TWO), True),
+    ((0, 1), False),
+    ((1, 3), False),
+    ((1, -3), False),
+    ((-2, 1), True),
+    ([2, -1], True),
+])
+def test_is_signed_permutation_edge_cases(images, verdict):
+    assert perm_b.is_signed_permutation(images) is verdict
+
+
+@pytest.mark.parametrize("code, message", [
+    ((True,), "code entry c_1=True outside [-1, 1] minus 0"),
+    ((1, 1.0), "code entry c_2=1.0 outside [-2, 2] minus 0"),
+    ((1, 0), "code entry c_2=0 outside [-2, 2] minus 0"),
+    ((1, 3), "code entry c_2=3 outside [-2, 2] minus 0"),
+    ((1, -3), "code entry c_2=-3 outside [-2, 2] minus 0"),
+    ([1, -2, 4], "code entry c_3=4 outside [-3, 3] minus 0"),
+])
+def test_validate_code_b_edge_cases(code, message):
+    with pytest.raises(ValueError) as info:
+        perm_b.validate_code_b(code)
+    assert str(info.value) == message
 
 
 def test_compose_and_inverse():
@@ -144,6 +181,10 @@ def test_signed_cycles():
     cycles = perm_b.signed_cycle_decomposition((-6, -7, 4, -3, 5, 1, -2))
     assert [c.values for c in cycles] == [(1, 6), (2, 7), (3, 4), (5,)]
     assert [c.balanced for c in cycles] == [False, True, False, True]
+    assert repr(cycles[0]) == "SignedCycle(values=(1, 6), barred=frozenset({6}))"
+    assert hash(cycles[0]) == hash(((1, 6), frozenset({6})))
+    with pytest.raises(AttributeError):
+        cycles[0].values = (1,)
     assert perm_b.cyc_b((-6, -7, 4, -3, 5, 1, -2)) == 2
     assert sorted(perm_b.cyc_b_set((-6, -7, 4, -3, 5, 1, -2))) == [2, 5]
     assert perm_b.reflection_length_b((-6, -7, 4, -3, 5, 1, -2)) == 5

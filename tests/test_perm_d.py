@@ -1,6 +1,7 @@
 """Unit and property tests for the even-signed permutation module."""
 
 import doctest
+import enum
 import itertools
 
 import pytest
@@ -137,8 +138,16 @@ def test_fcode_golden():
     assert perm_d.fcode_decode((1, 1, -3, -2, 3)) == (-2, -4, 5, -1, -3)
 
 
+class Letter(enum.IntEnum):
+    ONE = 1
+    MINUS_TWO = -2
+
+
 def test_validate_code_d():
     perm_d.validate_code_d((1, -2, 3))
+    assert perm_d.validate_code_d([1, -2, 3]) == (1, -2, 3)
+    code = perm_d.validate_code_d((Letter.ONE, Letter.MINUS_TWO))
+    assert code == (1, -2) and type(code[1]) is Letter
     with pytest.raises(ValueError):
         perm_d.validate_code_d((2, 1))
     with pytest.raises(ValueError):
@@ -147,6 +156,23 @@ def test_validate_code_d():
         perm_d.validate_code_d((1, 3))
     with pytest.raises(ValueError):
         perm_d.validate_code_d((1, True))
+
+
+@pytest.mark.parametrize("code, message", [
+    ((True,), "code entry c_1=True outside [-1, 1] minus 0"),
+    ((1.0,), "code entry c_1=1.0 outside [-1, 1] minus 0"),
+    ((0,), "code entry c_1=0 must be 1"),
+    ((1, True), "code entry c_2=True outside [-2, 2] minus 0"),
+    ((1, 2.0), "code entry c_2=2.0 outside [-2, 2] minus 0"),
+    ((1, 0), "code entry c_2=0 outside [-2, 2] minus 0"),
+    ((1, 3), "code entry c_2=3 outside [-2, 2] minus 0"),
+    ((1, -3), "code entry c_2=-3 outside [-2, 2] minus 0"),
+    ([1, -2, 4], "code entry c_3=4 outside [-3, 3] minus 0"),
+])
+def test_validate_code_d_edge_cases(code, message):
+    with pytest.raises(ValueError) as info:
+        perm_d.validate_code_d(code)
+    assert str(info.value) == message
 
 
 def test_rho_golden():
