@@ -12,8 +12,8 @@ than truncated.
 
 Public ``rank`` validates its input: the length must be n and the element a
 member of the group.  The BFS behind the oracle tables walks inverse words
-and ranks each by two table lookups (``_rank_tables``, built once per group
-with the unchecked core ``_ranker``).  The oracles read the distance table in
+and ranks each by two table lookups (``_rank_tables``, built with each
+distance table from the unchecked core ``_ranker``).  The oracles read the distance table in
 rank order beside the enumeration, and the transport check proves
 bijectivity by membership and the stored inverse, so neither ranks anything
 on its passing path; a transport failure ranks two members with the core to
@@ -168,7 +168,6 @@ def _ranker(family: str, n: int) -> Callable[[Sequence[int]], int]:
     return core
 
 
-@lru_cache(maxsize=None)
 def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
     """Rank by two table lookups on the inverse word: (k, head, tail).
 

@@ -68,14 +68,11 @@ def is_signed_permutation(images: Sequence[int]) -> bool:
     n = len(images)
     seen = [False] * (n + 1)
     for v in images:
-        # a plain int in range skips the type tests, which still decide
-        # everything else (bool is no letter; an int subclass is one)
-        if type(v) is int and -n <= v <= n:
-            a = v if v >= 0 else -v
-        elif isinstance(v, bool) or not isinstance(v, int):
+        # a plain int passes the cheap type test first; bool is no letter,
+        # an int subclass is one
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
             return False
-        else:
-            a = abs(v)
+        a = v if v >= 0 else -v
         if not 1 <= a <= n or seen[a]:
             return False
         seen[a] = True
@@ -388,9 +385,10 @@ def validate_code_b(code: Iterable[int]) -> SignedCode:
     """Check c_i in [-i, i] and c_i != 0 for every entry."""
     c = tuple(code)
     for i, ci in enumerate(c, 1):
-        if type(ci) is int and -i <= ci <= i and ci:
-            continue
-        if isinstance(ci, bool) or not isinstance(ci, int) or ci == 0 or abs(ci) > i:
+        if (
+            type(ci) is not int
+            and (isinstance(ci, bool) or not isinstance(ci, int))
+        ) or not -i <= ci <= i or not ci:
             raise ValueError(
                 f"code entry c_{i}={ci} outside [-{i}, {i}] minus 0"
             )

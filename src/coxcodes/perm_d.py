@@ -175,9 +175,10 @@ def validate_code_d(code: Iterable[int]) -> SignedCode:
     if c and c[0] != 1:
         raise ValueError(f"code entry c_1={c[0]} must be 1")
     for i, ci in enumerate(c, 1):
-        if type(ci) is int and -i <= ci <= i and ci:
-            continue
-        if isinstance(ci, bool) or not isinstance(ci, int) or ci == 0 or abs(ci) > i:
+        if (
+            type(ci) is not int
+            and (isinstance(ci, bool) or not isinstance(ci, int))
+        ) or not -i <= ci <= i or not ci:
             raise ValueError(
                 f"code entry c_{i}={ci} outside [-{i}, {i}] minus 0"
             )

@@ -81,6 +81,10 @@ def test_ranker_core_matches_enumeration_order():
         assert k == n // 2
         words = map(perm_b.inverse, harness.enumerate_group(family, n))
         assert [head[t[:k]] + tail[t[k:]] for t in words] == ranks
+    # A8, the largest group under the BFS limit: the table sums alone
+    k, head, tail = harness._rank_tables("A", 8)
+    words = map(perm_b.inverse, harness.enumerate_group("A", 8))
+    assert [head[t[:k]] + tail[t[k:]] for t in words] == list(range(40320))
 
 
 def test_enumerate_group_slicing():
