@@ -217,8 +217,8 @@ def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
 def unrank(family: str, n: int, r: int) -> tuple[int, ...]:
     """The element of rank r in the fixed enumeration order."""
     order = group_order(family, n)
-    if not 0 <= r < order:
-        raise ValueError(f"rank {r} outside 0..{order - 1}")
+    if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < order:
+        raise ValueError(f"rank {r!r} outside 0..{order - 1}")
     code = []
     for values in _code_values(family, n):
         r, d = divmod(r, len(values))
@@ -700,22 +700,10 @@ def cayley_distance(
 # call at call time, so that wrappers put on those apply.
 
 
-def _check_gf(family, pair1, pair2, formula, n, workers=1):
-    product = getattr(qpoly, formula)(n)
-    d1, d2 = map(QT, _sweep(family, n, (pair1, pair2), workers))
-    details = {
-        f"joint({pair1[0]}, {pair1[1]})": d1.text(),
-        f"joint({pair2[0]}, {pair2[1]})": d2.text(),
-        "product_formula": product.text(),
-    }
-    return VerifyReport(
-        "", family, n, d1 == d2 == product, 2 * group_order(family, n), None, details
-    )
-
-
 def _check_type_d_mahonian(n, workers=1):
-    # the report holds only the t = 1 specializations of the type-d-bivariate
-    # joints, so their t-statistics nmin_D and lt'_D are never evaluated
+    # not a _check_pairs: the report holds only the t = 1 specializations of
+    # the type-d-bivariate joints, single-statistic sweeps under their own
+    # labels, so their t-statistics nmin_D and lt'_D are never evaluated
     inv, sor = _sweep("D", n, [("inv_D",), ("sor_D",)], workers)
     d1 = QT({(q, 0): count for (q,), count in inv.items()})
     d2 = QT({(q, 0): count for (q,), count in sor.items()})
@@ -730,11 +718,16 @@ def _check_type_d_mahonian(n, workers=1):
     )
 
 
-def _check_four_pairs(family, pairs, n, workers=1):
+def _check_pairs(family, pairs, n, workers=1, formula=None):
+    """The joint distributions of the pairs must agree, and with formula
+    given also equal that product formula of qpoly."""
     dists = list(zip(pairs, map(QT, _sweep(family, n, pairs, workers))))
     base = dists[0][1]
-    passed = all(d == base for _, d in dists)
     details = {f"joint({a}, {b})": d.text() for (a, b), d in dists}
+    if formula is not None:
+        base = getattr(qpoly, formula)(n)
+        details["product_formula"] = base.text()
+    passed = all(d == base for _, d in dists)
     return VerifyReport(
         "", family, n, passed, len(pairs) * group_order(family, n), None, details
     )
@@ -833,27 +826,29 @@ def _check_codes(family, n, workers=1):
 
 CHECKS: dict[str, Callable[..., VerifyReport]] = {
     "type-a-gf": partial(
-        _check_gf, "A", ("inv", "rl-min"), ("sor", "cyc"), "gf_type_a"
+        _check_pairs, "A", [("inv", "rl-min"), ("sor", "cyc")], formula="gf_type_a"
     ),
     "type-a-transport": partial(_transport, "phi"),
     "type-a-set-pairs": partial(_check_set_pairs, "A", ("Cyc", "Lmap", "Rmil")),
     "type-a-four-pairs": partial(
-        _check_four_pairs, "A",
+        _check_pairs, "A",
         [("sor", "cyc"), ("inv", "rl-min"), ("inv", "lr-max"), ("sor", "lr-max")],
     ),
     "type-b-gf": partial(
-        _check_gf, "B", ("inv_B", "nmin_B"), ("sor_B", "l'_B"), "gf_type_b"
+        _check_pairs, "B", [("inv_B", "nmin_B"), ("sor_B", "l'_B")],
+        formula="gf_type_b",
     ),
     "type-b-transport": partial(_transport, "psi"),
     "type-b-set-pairs": partial(_check_set_pairs, "B", ("Cyc_B", "Lmap_B", "Rmil_B")),
     "type-b-four-pairs": partial(
-        _check_four_pairs, "B",
+        _check_pairs, "B",
         [("sor_B", "l'_B"), ("inv_B", "nmin_B"), ("inv_B", "nmax_B"),
          ("sor_B", "nmax_B")],
     ),
     "type-d-sor-prime": _check_type_d_sor_prime,
     "type-d-bivariate": partial(
-        _check_gf, "D", ("inv_D", "nmin_D"), ("sor_D", "lt'_D"), "gf_type_d_bivariate"
+        _check_pairs, "D", [("inv_D", "nmin_D"), ("sor_D", "lt'_D")],
+        formula="gf_type_d_bivariate",
     ),
     "type-d-mahonian": _check_type_d_mahonian,
     "type-d-transport": partial(_transport, "rho"),

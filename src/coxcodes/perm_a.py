@@ -141,4 +141,4 @@ def bcode_decode(code: Sequence[int]) -> Perm:
     >>> bcode_decode((1, 1, 3, 2, 3))
     (2, 4, 5, 1, 3)
     """
-    return perm_b._bcode_b_decode(validate_code(code))
+    return perm_b._code_product(validate_code(code), False)

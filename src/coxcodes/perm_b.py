@@ -14,6 +14,11 @@ Right-multiplying by (a, j) with a > 0 swaps the letters at places a and j;
 with a < 0 it swaps the letters at places |a| and j and flips both signs
 (for a = -j it just flips the sign of the letter at place j).  Pairs with
 a = j are accepted as identity markers but never produced.
+
+The B-code is the code of the sorting factorization: entry j is the a of the
+factor (a, j) that moves j home, or j.  One walk (_sorting_code) and its
+inverse (_code_product) give it and the type-D F-code; bcode_b_encode stays
+the independent cycle walk that tests compare against.
 """
 
 from __future__ import annotations
@@ -164,35 +169,70 @@ def selection_sort_factorization(
 ) -> tuple[tuple[int, int], ...]:
     """The unique transposition factorization with strictly increasing j.
 
-    For j = n down to 1, if the letter at place j is not j, move j home by one
-    transposition and record it.  The factors multiply right to left to give
-    s back; no identity markers appear.
+    Selection sort from the right moves each letter j home by one
+    transposition (a, j); the factors are the entries of the sorting code
+    with a != j.  They multiply right to left to give s back; no identity
+    markers appear.
+    """
+    return tuple((a, j) for j, a in enumerate(_sorting_code(s, False), 1) if a != j)
+
+
+def _sorting_code(s: SignedPerm, even: bool) -> SignedCode:
+    """For j = n down to 1, the a of the generator (a, j) that moves letter j
+    home, or j when j is already home.
+
+    (-j, j) is the sign change of j, or with even set the composite that also
+    flips place 1 (the type-D generator).  Without even this is the B-code,
+    with it the F-code; the entries with a != j are the sorting and the
+    co-sorting factorizations.
+
+    >>> _sorting_code((3, -1, -6, -5, 4, 2), False)
+    (1, -1, 1, -4, -4, -3)
     """
     w = list(s)
     n = len(w)
-    factors = []
+    place = [0] * (n + 1)
+    for p, v in enumerate(w, 1):
+        place[v if v > 0 else -v] = p
+    code = list(range(1, n + 1))
     for j in range(n, 0, -1):
-        if w[j - 1] == j:
+        x = w[j - 1]
+        if x == j:
             continue
-        a = 0
-        # letters above j are already home, so +-j sits at a place <= j
-        for idx in range(j):
-            if w[idx] == j:
-                a = idx + 1
-                break
-            if w[idx] == -j:
-                a = -(idx + 1)
-                break
-        factors.append((a, j))
+        i = place[j]
+        # letters above j are home and place j is never read again, so only
+        # the letter leaving it moves
+        if i == j:  # -j at home
+            code[j - 1] = -j
+            if even:
+                w[0] = -w[0]
+        elif w[i - 1] == j:
+            code[j - 1] = i
+            w[i - 1] = x
+            place[x if x > 0 else -x] = i
+        else:
+            code[j - 1] = -i
+            w[i - 1] = -x
+            place[x if x > 0 else -x] = i
+    return tuple(code)
+
+
+def _code_product(c: SignedCode, even: bool) -> SignedPerm:
+    """The product (c_1, 1)(c_2, 2)...(c_n, n), the inverse of _sorting_code
+    with the same even flag; c must be a valid code."""
+    w = list(range(1, len(c) + 1))
+    for j, a in enumerate(c, 1):
+        if a == j:
+            continue
         if a > 0:
             w[a - 1], w[j - 1] = w[j - 1], w[a - 1]
         elif a == -j:
-            w[j - 1] = j
+            w[j - 1] = -w[j - 1]
+            if even:
+                w[0] = -w[0]
         else:
-            i = -a
-            w[i - 1], w[j - 1] = -w[j - 1], -w[i - 1]
-    factors.reverse()
-    return tuple(factors)
+            w[-a - 1], w[j - 1] = -w[j - 1], -w[-a - 1]
+    return tuple(w)
 
 
 def factor_weight_b(a: int, j: int) -> int:
@@ -213,8 +253,8 @@ def _sorting_weight(s: SignedPerm, bar_weight: int) -> int:
     """Total weight of selection_sort_factorization(s) when a factor (a, j)
     weighs j - a, minus bar_weight when a is barred (1 in type B, 2 in D).
 
-    Runs the same selection sort in one pass, finding +-j through an array of
-    places instead of a scan, and sums the weights without building factors.
+    Runs the walk of _sorting_code (with the sign change for (-j, j)) and
+    sums the weights without building the code.
     """
     w = list(s)
     n = len(w)
@@ -477,23 +517,7 @@ def bcode_b_decode(code: Sequence[int]) -> SignedPerm:
     >>> bcode_b_decode((1, -1, 1, -4, -4, -3))
     (3, -1, -6, -5, 4, 2)
     """
-    return _bcode_b_decode(validate_code_b(code))
-
-
-def _bcode_b_decode(c: SignedCode) -> SignedPerm:
-    """bcode_b_decode of a code already known to be valid."""
-    w = list(range(1, len(c) + 1))
-    for i, b in enumerate(c, 1):
-        if b == i:
-            continue
-        if b > 0:
-            w[b - 1], w[i - 1] = w[i - 1], w[b - 1]
-        elif b == -i:
-            w[i - 1] = -w[i - 1]
-        else:
-            a = -b
-            w[a - 1], w[i - 1] = -w[i - 1], -w[a - 1]
-    return tuple(w)
+    return _code_product(validate_code_b(code), False)
 
 
 def psi(s: SignedPerm) -> SignedPerm:
@@ -505,7 +529,7 @@ def psi(s: SignedPerm) -> SignedPerm:
     >>> psi((2, -4, 5, 1, -3))
     (2, -4, 5, -1, -3)
     """
-    return _bcode_b_decode(acode_b_encode(s))
+    return _code_product(acode_b_encode(s), False)
 
 
 def psi_inverse(s: SignedPerm) -> SignedPerm:

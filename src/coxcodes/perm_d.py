@@ -10,6 +10,10 @@ pair (-j, j) always means the composite, never the bare sign change, which
 does not preserve evenness.
 
 The weight of a factor (a, j) is j - a, minus 2 when a is barred.
+
+The F-code is the code of the co-sorting factorization, as the B-code is that
+of the sorting one, and comes from the same walk: perm_b._sorting_code and
+perm_b._code_product with the even flag, which makes (-j, j) the composite.
 """
 
 from __future__ import annotations
@@ -51,10 +55,8 @@ def is_even_signed(images: Sequence[int]) -> bool:
 
 
 def validate_even_signed(images: Iterable[int]) -> SignedPerm:
-    s = tuple(images)
-    if not perm_b.is_signed_permutation(s):
-        raise ValueError(f"not a signed permutation of 1..{len(s)}: {list(s)}")
-    bars = sum(1 for v in s if v < 0)
+    s = perm_b.validate_signed(images)
+    bars = neg_count(s)
     if bars % 2:
         raise ValueError(
             f"odd number of barred letters ({bars}), not even-signed: {list(s)}"
@@ -107,46 +109,25 @@ def cosort_factorization(s: SignedPerm) -> tuple[tuple[int, int], ...]:
     """The unique factorization over the even generator family with strictly
     increasing j >= 2.
 
-    For j = n down to 2, move letter j home with a single generator: the
-    reflection (i, j) when +-j sits away from place j, the composite (-j, j)
-    when place j holds -j.  Factors multiply right to left to give s back.
+    Co-sorting moves each letter j home by one generator: the reflection
+    (i, j) when +-j sits away from place j, the composite (-j, j) when place j
+    holds -j.  The factors are the F-code entries with a != j; they multiply
+    right to left to give s back.
     """
-    w = list(s)
-    n = len(w)
-    factors = []
-    for j in range(n, 1, -1):
-        if w[j - 1] == j:
-            continue
-        if w[j - 1] == -j:
-            factors.append((-j, j))
-            w[0] = -w[0]
-            w[j - 1] = j
-            continue
-        a = 0
-        for idx in range(j - 1):
-            if w[idx] == j:
-                a = idx + 1
-                break
-            if w[idx] == -j:
-                a = -(idx + 1)
-                break
-        factors.append((a, j))
-        if a > 0:
-            w[a - 1], w[j - 1] = w[j - 1], w[a - 1]
-        else:
-            i = -a
-            w[i - 1], w[j - 1] = -w[j - 1], -w[i - 1]
-    factors.reverse()
-    return tuple(factors)
+    return tuple(
+        (a, j) for j, a in enumerate(perm_b._sorting_code(s, True), 1) if a != j
+    )
 
 
 def sor_d_prime(s: SignedPerm) -> int:
-    """Co-sorting index: total factor weight of cosort_factorization.
+    """Co-sorting index: total factor weight of cosort_factorization, summed
+    over the F-code (an entry with a = j weighs 0).
 
     >>> sor_d_prime((-2, -4, 5, -1, -3))
     11
     """
-    return sum(factor_weight_d(a, j) for a, j in cosort_factorization(s))
+    code = perm_b._sorting_code(s, True)
+    return sum(factor_weight_d(a, j) for j, a in enumerate(code, 1))
 
 
 def nmin_d(s: SignedPerm) -> int:
@@ -165,7 +146,7 @@ def reflection_length_d(s: SignedPerm) -> int:
     >>> reflection_length_d((-2, -4, 5, -1, -3))
     4
     """
-    f = _fcode_encode(s)
+    f = perm_b._sorting_code(s, True)
     return len(s) - sum(1 for r, fr in enumerate(f, 1) if fr == r)
 
 
@@ -174,15 +155,7 @@ def validate_code_d(code: Iterable[int]) -> SignedCode:
     c = tuple(code)
     if c and c[0] != 1:
         raise ValueError(f"code entry c_1={c[0]} must be 1")
-    for i, ci in enumerate(c, 1):
-        if (
-            type(ci) is not int
-            and (isinstance(ci, bool) or not isinstance(ci, int))
-        ) or not -i <= ci <= i or not ci:
-            raise ValueError(
-                f"code entry c_{i}={ci} outside [-{i}, {i}] minus 0"
-            )
-    return c
+    return perm_b.validate_code_b(c)
 
 
 def ecode_encode(s: SignedPerm) -> SignedCode:
@@ -255,39 +228,7 @@ def fcode_encode(s: SignedPerm) -> SignedCode:
 
     Raises ValueError on anything but an even-signed permutation.
     """
-    return _fcode_encode(validate_even_signed(s))
-
-
-def _fcode_encode(s: SignedPerm) -> SignedCode:
-    """fcode_encode of an element already known to be even-signed."""
-    w = list(s)
-    n = len(w)
-    out = [0] * n
-    if out:
-        out[0] = 1
-    for i in range(n, 1, -1):
-        if w[i - 1] == i:
-            out[i - 1] = i
-            continue
-        if w[i - 1] == -i:
-            out[i - 1] = -i
-            w[0] = -w[0]
-            w[i - 1] = i
-            continue
-        p = 0
-        for idx in range(i - 1):
-            if w[idx] == i:
-                p = idx + 1
-                break
-            if w[idx] == -i:
-                p = -(idx + 1)
-                break
-        out[i - 1] = p
-        if p > 0:
-            w[p - 1], w[i - 1] = w[i - 1], w[p - 1]
-        else:
-            w[-p - 1], w[i - 1] = -w[i - 1], i
-    return tuple(out)
+    return perm_b._sorting_code(validate_even_signed(s), True)
 
 
 def fcode_decode(code: Sequence[int]) -> SignedPerm:
@@ -297,24 +238,7 @@ def fcode_decode(code: Sequence[int]) -> SignedPerm:
     >>> fcode_decode((1, 1, -3, -2, 3))
     (-2, -4, 5, -1, -3)
     """
-    return _fcode_decode(validate_code_d(code))
-
-
-def _fcode_decode(c: SignedCode) -> SignedPerm:
-    """fcode_decode of a code already known to be valid."""
-    w = list(range(1, len(c) + 1))
-    for i, f in enumerate(c, 1):
-        if f == i:
-            continue
-        if f == -i:
-            w[0] = -w[0]
-            w[i - 1] = -w[i - 1]
-        elif f > 0:
-            w[f - 1], w[i - 1] = w[i - 1], w[f - 1]
-        else:
-            a = -f
-            w[a - 1], w[i - 1] = -w[i - 1], -w[a - 1]
-    return tuple(w)
+    return perm_b._code_product(validate_code_d(code), True)
 
 
 def rho(s: SignedPerm) -> SignedPerm:
@@ -325,8 +249,8 @@ def rho(s: SignedPerm) -> SignedPerm:
     >>> rho((2, -4, 5, 1, -3))
     (-2, -4, 5, -1, -3)
     """
-    return _fcode_decode(_ecode_encode(s))
+    return perm_b._code_product(_ecode_encode(s), True)
 
 
 def rho_inverse(s: SignedPerm) -> SignedPerm:
-    return _ecode_decode(_fcode_encode(s))
+    return _ecode_decode(perm_b._sorting_code(s, True))

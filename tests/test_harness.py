@@ -53,6 +53,11 @@ def test_unrank_rank_round_trip():
         harness.unrank("A", 3, 6)
     with pytest.raises(ValueError):
         harness.unrank("A", 3, -1)
+    # a rank is a plain int: neither a float nor a bool passes for one
+    with pytest.raises(ValueError):
+        harness.unrank("B", 3, 1.5)
+    with pytest.raises(ValueError):
+        harness.unrank("B", 3, True)
 
 
 def test_rank_rejects_wrong_length_and_non_members():

@@ -177,6 +177,16 @@ def test_sort_factorization_reconstructs():
             assert acc == s
 
 
+def test_sort_factorization_is_the_bcode_exhaustive():
+    # the B-code of s is the code of its selection-sort factorization: the
+    # factors are its entries (b, j) with b != j
+    for n in range(1, 7):
+        for s in all_signed(n):
+            assert perm_b.selection_sort_factorization(s) == tuple(
+                (b, j) for j, b in enumerate(perm_b.bcode_b_encode(s), 1) if b != j
+            )
+
+
 def test_signed_cycles():
     cycles = perm_b.signed_cycle_decomposition((-6, -7, 4, -3, 5, 1, -2))
     assert [c.values for c in cycles] == [(1, 6), (2, 7), (3, 4), (5,)]
