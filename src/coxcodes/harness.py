@@ -83,7 +83,7 @@ def check_group(family: str, n: int) -> None:
     """Validate a family/rank pair, refusing anything out of range."""
     if family not in _MIN_N:
         raise ValueError(f"unknown family {family!r}; choose one of A, B, D")
-    if not isinstance(n, int) or n < _MIN_N[family]:
+    if isinstance(n, bool) or not isinstance(n, int) or n < _MIN_N[family]:
         raise ValueError(f"family {family} needs n >= {_MIN_N[family]}, got {n}")
     if n > _MAX_N[family]:
         raise ValueError(
@@ -130,7 +130,7 @@ _MEMBERS = {
 _DECODERS = {
     "A": perm_b._lehmer_b_decode,
     "B": perm_b._lehmer_b_decode,
-    "D": perm_d._ecode_decode,
+    "D": partial(perm_b._acode_b_decode, even=True),
 }
 _ENCODERS = {
     "A": perm_b.lehmer_b_encode,
@@ -594,6 +594,23 @@ GENERATING_SET_NAMES = {
 }
 
 
+# Each generating set as its generator pairs (a, j) at rank n, in listing
+# order: (a, j) is a signed reflection (perm_b), and (-j, j) in T^D the
+# composite (perm_d).
+_GENERATOR_PAIRS = {
+    "T^A": lambda n: [(i, j) for j in range(2, n + 1) for i in range(1, j)],
+    "T^B": lambda n: [
+        (a, j) for j in range(1, n + 1) for a in (*range(1, j), *range(-1, -j - 1, -1))
+    ],
+    "S^B": lambda n: [(-1, 1)] + [(i, i + 1) for i in range(1, n)],
+    "T^D": lambda n: [  # i and -i below j, then the composite (-j, j)
+        (a, j) for j in range(2, n + 1)
+        for i in range(1, j + 1) for a in (i, -i)[i == j:]
+    ],
+    "S^D": lambda n: [(-1, 2)] + [(i, i + 1) for i in range(1, n)],
+}
+
+
 def generating_set(family: str, n: int, name: str) -> tuple[tuple[int, ...], ...]:
     """The named generating set as a tuple of group elements.
 
@@ -607,35 +624,9 @@ def generating_set(family: str, n: int, name: str) -> tuple[tuple[int, ...], ...
             f"unknown generating set {name!r} for family {family}; choose from: "
             + ", ".join(GENERATING_SET_NAMES[family])
         )
+    apply = perm_d.apply_generator if family == "D" else perm_b.apply_transposition
     ident = identity_of(family, n)
-    out = []
-    if name == "T^A":
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                w = list(ident)
-                w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-                out.append(tuple(w))
-    elif name == "T^B":
-        for j in range(1, n + 1):
-            for i in range(1, j):
-                out.append(perm_b.apply_transposition(ident, i, j))
-            for i in range(1, j + 1):
-                out.append(perm_b.apply_transposition(ident, -i, j))
-    elif name == "S^B":
-        out.append(perm_b.apply_transposition(ident, -1, 1))
-        for i in range(1, n):
-            out.append(perm_b.apply_transposition(ident, i, i + 1))
-    elif name == "T^D":
-        for j in range(2, n + 1):
-            for i in range(1, j):
-                out.append(perm_b.apply_transposition(ident, i, j))
-                out.append(perm_b.apply_transposition(ident, -i, j))
-            out.append(perm_d.apply_generator(ident, -j, j))
-    else:  # S^D
-        out.append(perm_b.apply_transposition(ident, -1, 2))
-        for i in range(1, n):
-            out.append(perm_b.apply_transposition(ident, i, i + 1))
-    return tuple(out)
+    return tuple(apply(ident, a, j) for a, j in _GENERATOR_PAIRS[name](n))
 
 
 @lru_cache(maxsize=None)

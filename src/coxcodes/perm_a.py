@@ -13,8 +13,7 @@ minus the bars is inv, sor_B is sor, cyc_B is cyc, psi is phi, and so on).
 So most public names here are the ``perm_b`` kernels themselves.  Only what
 differs in A has a body here: membership (no bars), the code range 1..i, the
 decoders that check that range, max_set, and the cycle tuples.  ``nmin`` is
-defined on permutations; on a word with repeated letters it counts the
-letters larger than some later letter.
+n minus rl-min.
 
 Functions assume valid input unless they say otherwise; ``validate_*`` helpers
 are meant for boundaries (CLI parsing, decoding untrusted codes).

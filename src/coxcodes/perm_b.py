@@ -394,31 +394,19 @@ def lr_max_b(word: Sequence[int]) -> int:
 
 
 def nmin_b(s: SignedPerm) -> int:
-    """Letters beating some later letter in absolute value, plus the bar count.
+    """n minus rl-min: the letters beating some later letter in absolute
+    value, plus the bars.
 
     >>> nmin_b((2, -4, 5, 1, -3))
     4
     """
-    count = 0
-    low = None
-    for x in reversed(s):
-        if low is not None and x > low:
-            count += 1
-        if low is None or abs(x) < low:
-            low = abs(x)
-    return count + neg_count(s)
+    return len(s) - rl_min_b(s)
 
 
 def nmax_b(s: SignedPerm) -> int:
-    """Positive letters beaten by some earlier absolute value, plus the bars."""
-    count = 0
-    high = 0
-    for x in s:
-        if 0 < x < high:
-            count += 1
-        if abs(x) > high:
-            high = abs(x)
-    return count + neg_count(s)
+    """n minus lr-max: the positive letters beaten by some earlier absolute
+    value, plus the bars."""
+    return len(s) - lr_max_b(s)
 
 
 def validate_code_b(code: Iterable[int]) -> SignedCode:
@@ -486,11 +474,17 @@ def acode_b_decode(code: Sequence[int]) -> SignedPerm:
     return _acode_b_decode(validate_code_b(code))
 
 
-def _acode_b_decode(c: SignedCode) -> SignedPerm:
-    """acode_b_decode of a code already known to be valid."""
+def _acode_b_decode(c: SignedCode, even: bool = False) -> SignedPerm:
+    """acode_b_decode of a code already known to be valid; with even set the
+    first letter flips before each barred insertion (the type-D E-code)."""
     w: list[int] = []
     for i, ci in enumerate(c, 1):
-        w.insert(abs(ci) - 1, i if ci > 0 else -i)
+        if ci > 0:
+            w.insert(ci - 1, i)
+        else:
+            if even:
+                w[0] = -w[0]
+            w.insert(-ci - 1, -i)
     return tuple(w)
 
 

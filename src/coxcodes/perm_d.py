@@ -14,6 +14,8 @@ The weight of a factor (a, j) is j - a, minus 2 when a is barred.
 The F-code is the code of the co-sorting factorization, as the B-code is that
 of the sorting one, and comes from the same walk: perm_b._sorting_code and
 perm_b._code_product with the even flag, which makes (-j, j) the composite.
+The E-code is decoded as the A-code with the type-D flip: the same flag on
+perm_b._acode_b_decode flips the first letter before each barred insertion.
 """
 
 from __future__ import annotations
@@ -113,15 +115,17 @@ def cosort_factorization(s: SignedPerm) -> tuple[tuple[int, int], ...]:
     (i, j) when +-j sits away from place j, the composite (-j, j) when place j
     holds -j.  The factors are the F-code entries with a != j; they multiply
     right to left to give s back.
+
+    Raises ValueError on anything but an even-signed permutation.
     """
-    return tuple(
-        (a, j) for j, a in enumerate(perm_b._sorting_code(s, True), 1) if a != j
-    )
+    code = perm_b._sorting_code(validate_even_signed(s), True)
+    return tuple((a, j) for j, a in enumerate(code, 1) if a != j)
 
 
 def sor_d_prime(s: SignedPerm) -> int:
     """Co-sorting index: total factor weight of cosort_factorization, summed
-    over the F-code (an entry with a = j weighs 0).
+    over the F-code (an entry with a = j weighs 0).  s must be even-signed;
+    it is not checked.
 
     >>> sor_d_prime((-2, -4, 5, -1, -3))
     11
@@ -142,6 +146,7 @@ def nmin_d(s: SignedPerm) -> int:
 
 def reflection_length_d(s: SignedPerm) -> int:
     """Minimal generator word length: n minus the fixed entries of the F-code.
+    s must be even-signed; it is not checked.
 
     >>> reflection_length_d((-2, -4, 5, -1, -3))
     4
@@ -198,21 +203,7 @@ def ecode_decode(code: Sequence[int]) -> SignedPerm:
     >>> ecode_decode((1, 1, -3, -2, 3))
     (2, -4, 5, 1, -3)
     """
-    return _ecode_decode(validate_code_d(code))
-
-
-def _ecode_decode(c: SignedCode) -> SignedPerm:
-    """ecode_decode of a code already known to be valid."""
-    if not c:
-        return ()
-    w = [1]
-    for i, e in enumerate(c[1:], 2):
-        if e > 0:
-            w.insert(e - 1, i)
-        else:
-            w[0] = -w[0]
-            w.insert(-e - 1, -i)
-    return tuple(w)
+    return perm_b._acode_b_decode(validate_code_d(code), True)
 
 
 def fcode_encode(s: SignedPerm) -> SignedCode:
@@ -253,4 +244,4 @@ def rho(s: SignedPerm) -> SignedPerm:
 
 
 def rho_inverse(s: SignedPerm) -> SignedPerm:
-    return _ecode_decode(perm_b._sorting_code(s, True))
+    return perm_b._acode_b_decode(perm_b._sorting_code(s, True), True)

@@ -86,13 +86,6 @@ class QT:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def add_term(self, q: int, t: int, coeff: int = 1) -> None:
-        """In-place accumulation; the workhorse of enumeration loops."""
-        if coeff < 0:
-            raise ValueError(f"negative count {coeff}")
-        key = (q, t)
-        self._terms[key] = self._terms.get(key, 0) + coeff
-
     def coefficient(self, q: int, t: int) -> int:
         return self._terms.get((q, t), 0)
 

@@ -250,12 +250,23 @@ def test_bijection_registry():
 
 
 def test_generating_set_sizes():
+    # each set: its size, and the statistic under which its members, and no
+    # other elements, have length 1 (the word length its oracle checks)
+    sets = {
+        ("A", "T^A"): (lambda n: math.comb(n, 2), lambda s: len(s) - perm_a.cyc(s)),
+        ("B", "T^B"): (lambda n: n * n, perm_b.reflection_length_b),
+        ("B", "S^B"): (lambda n: n, perm_b.inv_b),
+        ("D", "T^D"): (lambda n: n * n - 1, perm_d.reflection_length_d),
+        ("D", "S^D"): (lambda n: n, perm_d.inv_d),
+    }
+    for (family, name), (size, length) in sets.items():
+        for n in range(harness._MIN_N[family], 6):
+            gens = harness.generating_set(family, n, name)
+            assert len(gens) == size(n)
+            assert len(set(gens)) == len(gens)
+            group = harness.enumerate_group(family, n)
+            assert set(gens) == {s for s in group if length(s) == 1}
     n = 4
-    assert len(harness.generating_set("A", n, "T^A")) == math.comb(n, 2)
-    assert len(harness.generating_set("B", n, "T^B")) == n * n
-    assert len(harness.generating_set("B", n, "S^B")) == n
-    assert len(harness.generating_set("D", n, "T^D")) == n * n - 1
-    assert len(harness.generating_set("D", n, "S^D")) == n
     with pytest.raises(ValueError):
         harness.generating_set("B", n, "T^A")
     with pytest.raises(ValueError):
@@ -565,7 +576,7 @@ def test_every_check_refuses_out_of_range_n(monkeypatch):
             [(label, encode, refuse) for label, encode, _ in pairs],
         )
     for name, family in families.items():
-        for n in (harness._MIN_N[family] - 1, harness._MAX_N[family] + 1):
+        for n in (harness._MIN_N[family] - 1, harness._MAX_N[family] + 1, True):
             with pytest.raises(ValueError):
                 harness.run_check(name, n)
 

@@ -239,6 +239,26 @@ def test_nmin_nmax_complement_exhaustive():
             assert perm_b.nmin_b(s) == perm_b.nmax_b(perm_b.inverse(s))
 
 
+def naive_nmin_b(s):
+    """Letters x with x > |y| for some later letter y, plus the bars."""
+    n = len(s)
+    beating = sum(any(s[i] > abs(s[j]) for j in range(i + 1, n)) for i in range(n))
+    return beating + sum(1 for x in s if x < 0)
+
+
+def naive_nmax_b(s):
+    """Positive letters x with |y| > x for some earlier letter y, plus the bars."""
+    beaten = sum(x > 0 and any(abs(y) > x for y in s[:i]) for i, x in enumerate(s))
+    return beaten + sum(1 for x in s if x < 0)
+
+
+def test_nmin_nmax_match_naive_definitions_exhaustive():
+    for n in range(1, 7):
+        for s in all_signed(n):
+            assert perm_b.nmin_b(s) == naive_nmin_b(s), s
+            assert perm_b.nmax_b(s) == naive_nmax_b(s), s
+
+
 def test_lehmer_b_golden():
     s = (5, -7, 1, -4, 9, -2, -6, 3, 8)
     code = (1, -2, 1, -2, 5, -2, -5, 3, 8)

@@ -112,6 +112,12 @@ def test_cosort_reconstructs():
             assert acc == s
 
 
+def test_cosort_factorization_refuses_non_members():
+    for s in ((-1, 2), (1, 1)):
+        with pytest.raises(ValueError):
+            perm_d.cosort_factorization(s)
+
+
 def test_sor_d_prime_equals_sor_d_exhaustive():
     for n in range(2, 6):
         for s in all_even_signed(n):
