@@ -1,13 +1,15 @@
 """Exhaustive verification harness over the families A (permutations),
 B (signed permutations), and D (even-signed permutations).
 
-Groups are enumerated through the code bijections (Lehmer for A, signed
-Lehmer for B, the deletion code for D), which gives every element a rank in
-a mixed-radix numeral system: code entry c_i is a digit, c_1 the least
-significant.  Rank order is therefore the product order of the entries'
-value lists with c_n outermost, which supports deterministic order, range
-splitting, and flat arrays indexed by rank.  Supported ranks: A up to 9,
-B up to 8, D from 2 up to 8; anything larger is refused outright rather
+The code bijections (Lehmer for A, signed Lehmer for B, the deletion code
+for D) give every element a rank in a mixed-radix numeral system: code
+entry c_i is a digit, c_1 the least significant.  Rank order is therefore
+the product order of the entries' value lists with c_n outermost, which
+supports deterministic order, range splitting, and flat arrays indexed by
+rank.  unrank decodes one code; enumerate_group decodes none per element: it
+joins head words (c_1..c_k) to tail words (c_{k+1}..c_n), both tabulated
+from the decoder once per call (_unrank_tables).  Supported ranks: A up to
+9, B up to 8, D from 2 up to 8; anything larger is refused outright rather
 than truncated.
 
 Public ``rank`` validates its input: the length must be n and the element a
@@ -39,7 +41,7 @@ import os
 from collections import Counter
 from functools import lru_cache, partial
 from math import prod
-from operator import getitem, itemgetter
+from operator import add, getitem, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import perm_a, perm_b, perm_d, qpoly
@@ -118,10 +120,10 @@ def _code_values(family: str, n: int) -> tuple[tuple[int, ...], ...]:
 
 # Membership tests for rank's boundary, and the unchecked cores of each
 # family's ranking code (the signed Lehmer code, which on A is the Lehmer
-# code, and the deletion code).  Enumeration decodes codes it builds from the
-# entry value lists, so they are valid by construction; the rank core encodes
-# members only.  Bound once at import, so that a cached ranker keeps these
-# very functions whatever is later put on the module attributes.
+# code, and the deletion code).  unrank and the unrank tables decode codes
+# they build from the entry value lists, so valid by construction; the rank
+# core encodes members only.  Bound once at import, so that a cached ranker
+# keeps these very functions whatever is later put on the module attributes.
 _MEMBERS = {
     "A": perm_a.is_permutation,
     "B": perm_b.is_signed_permutation,
@@ -214,8 +216,64 @@ def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
     return k, head, tail
 
 
+# Which entries of a decoded element the head code c_1..c_k fixes, once the
+# tail c_{k+1}..c_n is known: the signed Lehmer code of A and B fills the
+# places from the right, so the head fixes places 1..k; the E-code of D
+# inserts letter i at place |c_i|, so the head fixes letters 1..k, in their
+# order in the element, and the tail decides where they go.
+_HEAD_IS_LETTERS = {"A": False, "B": False, "D": True}
+
+
+def _unrank_tables(family: str, n: int) -> tuple[int, list]:
+    """Unrank by concatenation: (heads per tail, tails in rank order).
+
+    With k = (n + 1) // 2, a code splits into its head c_1..c_k, the least
+    significant entries, and its tail c_{k+1}..c_n, so the element of rank r
+    is that of head r % size joined to tail r // size.  Each tail entry is
+    (fixed, heads, pick): fixed is what the tail decodes to, heads the head
+    words of every head code in rank order, and pick, when not None, the
+    itemgetter that puts head + fixed into place order (in A and B the head
+    is places 1..k, so the element is head + fixed).  The head words depend
+    on the tail only through the head word of the first head code (the value
+    set of places 1..k in A and B, and in D the parity of the tail's flips
+    of the first letter), so one list serves every tail with that word.  All
+    of it is read off _DECODERS[family]: one decode per tail, and one per
+    head code for the first tail that reaches each list.
+    """
+    decode = _DECODERS[family]
+    values = _code_values(family, n)
+    k = (n + 1) // 2
+    letters = _HEAD_IS_LETTERS[family]
+
+    def codes(entry_values):
+        # product() varies its last factor fastest, so with the entry lists
+        # reversed it yields codes c_m..c_1 in rank order
+        return [c[::-1] for c in itertools.product(*reversed(entry_values))]
+
+    head_codes = codes(values[:k])
+    lists: dict[tuple, list] = {}
+    splits: dict[tuple, tuple] = {}  # head places -> (tail places, pick)
+    tails = []
+    for t in codes(values[k:]):
+        element = decode(head_codes[0] + t)
+        at = tuple(
+            p for p, x in enumerate(element) if (abs(x) if letters else p + 1) <= k
+        )
+        if at not in splits:
+            rest = tuple(p for p in range(n) if p not in at)
+            place = sorted(range(n), key=(at + rest).__getitem__)
+            splits[at] = rest, None if place == list(range(n)) else itemgetter(*place)
+        rest, pick = splits[at]
+        key = tuple(map(element.__getitem__, at))
+        if key not in lists:
+            lists[key] = [tuple(map(decode(h + t).__getitem__, at)) for h in head_codes]
+        tails.append((tuple(map(element.__getitem__, rest)), lists[key], pick))
+    return len(head_codes), tails
+
+
 def unrank(family: str, n: int, r: int) -> tuple[int, ...]:
-    """The element of rank r in the fixed enumeration order."""
+    """The element of rank r in the fixed enumeration order, decoded from its
+    code; the reference for enumerate_group."""
     order = group_order(family, n)
     if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < order:
         raise ValueError(f"rank {r!r} outside 0..{order - 1}")
@@ -246,19 +304,26 @@ def enumerate_group(
     """Yield elements of ranks start..stop-1, each exactly once, in order.
 
     Disjoint rank ranges give disjoint element streams, so a sweep can be
-    split into independent chunks.
+    split into independent chunks.  Elements are joined from the head and
+    tail tables of _unrank_tables, built on each call, and a range starts at
+    its tail directly, so a chunk's start costs O(1).
     """
     order = group_order(family, n)
     if stop is None:
         stop = order
+    for bound in (start, stop):
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise ValueError(f"rank bound {bound!r} is not an integer")
     if not 0 <= start <= stop <= order:
         raise ValueError(f"bad range [{start}, {stop}) for order {order}")
-    # product() varies its last factor fastest, so with the entry lists in
-    # reverse it yields codes c_n..c_1 in rank order; islice reaches start by
-    # skipping codes, which costs a chunk well under 1% of its sweep
-    codes = itertools.product(*reversed(_code_values(family, n)))
-    reverse = itemgetter(slice(None, None, -1))
-    yield from map(_DECODERS[family], map(reverse, itertools.islice(codes, start, stop)))
+    size, tails = _unrank_tables(family, n)
+    for i in range(start // size, -(-stop // size)):
+        fixed, heads, pick = tails[i]
+        lo, hi = start - i * size, stop - i * size
+        if lo > 0 or hi < size:  # the range starts or ends inside this tail
+            heads = heads[max(lo, 0):hi]
+        words = map(add, heads, itertools.repeat(fixed))
+        yield from words if pick is None else map(pick, words)
 
 
 INTEGER_STATISTICS: dict[str, dict[str, Callable]] = {
@@ -637,10 +702,11 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
     100000 elements.  The search walks inverse words: (s g)^-1 = g^-1 s^-1,
     so a step by g maps each letter x of s^-1 to g^-1(x), one lookup in a
     table of g^-1 indexed by signed letter (a barred letter indexes from the
-    end).  Each image is ranked by its two halves (_rank_tables), so no
-    element is composed or encoded per edge.  Distances are kept in a
-    rank-indexed bytearray (255 = not reached yet), which holds the diameters
-    of every group the limit admits (at most n^2 = 36, for S^B on B6).
+    end), all n of them read at once by an itemgetter over s^-1.  Each image
+    is ranked by its two halves (_rank_tables), so no element is composed or
+    encoded per edge.  Distances are kept in a rank-indexed bytearray (255 =
+    not reached yet), which holds the diameters of every group the limit
+    admits (at most n^2 = 36, for S^B on B6).
     """
     order = group_order(family, n)
     if order > _BFS_LIMIT:
@@ -653,7 +719,10 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
         sub = [0] * (2 * n + 1)
         for x, y in enumerate(perm_b.inverse(g), 1):
             sub[x], sub[-x] = y, -y
-        moves.append(sub.__getitem__)
+        moves.append(sub)
+    # one itemgetter per frontier word reads its image out of each move's
+    # table; with one index an itemgetter returns a bare value, not a tuple
+    getter = itemgetter if n > 1 else lambda x: lambda sub: (sub[x],)
     dist = bytearray(b"\xff") * order
     ident = identity_of(family, n)
     dist[head[ident[:k]] + tail[ident[k:]]] = 0
@@ -663,8 +732,9 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
         d += 1
         next_frontier = []
         for t in frontier:
-            for move in moves:
-                image = tuple(map(move, t))
+            image_of = getter(*t)
+            for sub in moves:
+                image = image_of(sub)
                 r = head[image[:k]] + tail[image[k:]]
                 if dist[r] == 255:
                     dist[r] = d

@@ -23,7 +23,6 @@ the independent cycle walk that tests compare against.
 
 from __future__ import annotations
 
-from bisect import bisect, insort
 from typing import Iterable, NamedTuple, Sequence
 
 SignedPerm = tuple[int, ...]
@@ -152,15 +151,20 @@ def inv_b(s: SignedPerm) -> int:
 def _pair_inversions(s: SignedPerm) -> int:
     """Pairs i < j with s(i) > s(j), plus pairs i < j with -s(i) > s(j).
 
-    This is the type-D inversion number; inv_b adds the bars.  One pass that
-    keeps the letters seen so far sorted; absolute values are distinct, so
-    neither s(j) nor -s(j) ties with an earlier letter.
+    This is the type-D inversion number; inv_b adds the bars.  One pass over
+    a bitmask of the letters seen so far, letter y at bit y + n: the earlier
+    letters above x are the set bits from x + n up, and those below -x the
+    set bits under n - x; absolute values are distinct, so neither x nor -x
+    is among them.
     """
-    seen: list[int] = []
+    n = len(s)
+    seen = 0
     total = 0
-    for j, x in enumerate(s):
-        total += j - bisect(seen, x) + bisect(seen, -x)
-        insort(seen, x)
+    for x in s:
+        above = seen >> (x + n)
+        below = seen & ((1 << (n - x)) - 1)
+        total += above.bit_count() + below.bit_count()
+        seen |= 1 << (x + n)
     return total
 
 

@@ -111,6 +111,73 @@ def test_enumerate_group_slicing():
                 assert sum(chunks, []) == full
 
 
+def assert_enumeration_is_unrank(family, n):
+    """The head/tail tables give the decoder's element at every rank, on the
+    whole group and on ranges that are empty, start inside a tail or on a
+    tail boundary, and end inside a tail or on the last rank."""
+    order = harness.group_order(family, n)
+    full = [harness.unrank(family, n, r) for r in range(order)]
+    assert list(harness.enumerate_group(family, n)) == full
+    size, tails = harness._unrank_tables(family, n)
+    assert size * len(tails) == order
+    ranges = [
+        (0, 0), (order, order), (size + 1, size + 1),  # empty
+        (1, size + 1),  # inside the first tail to inside the second
+        (size, 2 * size),  # one whole tail, boundary to boundary
+        (size - 1, order),  # the last head of a tail to the last rank
+        (order - size, order),  # the last tail
+        (order - 1, order),  # the last rank alone
+    ]
+    for start, stop in ranges:
+        if 0 <= start <= stop <= order:
+            assert list(harness.enumerate_group(family, n, start, stop)) == (
+                full[start:stop]
+            ), (family, n, start, stop)
+
+
+def test_unrank_tables_match_the_decoder():
+    for family, ns in (("A", range(1, 8)), ("B", range(1, 7)), ("D", range(2, 7))):
+        for n in ns:
+            assert_enumeration_is_unrank(family, n)
+
+
+@pytest.mark.skipif(
+    os.environ.get("COXCODES_ACCEPT_B7") != "1",
+    reason="set COXCODES_ACCEPT_B7=1 to unrank all of A8, B7 and D7",
+)
+def test_unrank_tables_match_the_decoder_on_the_largest_groups():
+    for family, n in (("A", 8), ("B", 7), ("D", 7)):
+        assert_enumeration_is_unrank(family, n)
+
+
+def test_corrupted_head_word_is_caught(monkeypatch):
+    unrank_tables = harness._unrank_tables
+
+    def corrupted(family, n):
+        # the last tail's list of head words, with its first word repeated
+        # over its last, in a copy of the tables
+        size, tails = unrank_tables(family, n)
+        fixed, heads, pick = tails[-1]
+        heads = list(heads)
+        heads[-1] = heads[0]
+        return size, tails[:-1] + [(fixed, heads, pick)]
+
+    monkeypatch.setattr(harness, "_unrank_tables", corrupted)
+    for family, n in (("A", 4), ("B", 3), ("D", 4)):
+        with pytest.raises(AssertionError):
+            assert_enumeration_is_unrank(family, n)
+
+
+def test_enumerate_group_refuses_non_integer_bounds():
+    # a bool is no rank, as for unrank: True used to start at rank 1
+    for bounds in ((True,), (0, True), (False, 6), ("1",), (0, "6"), (1.0,), (0, 2.5)):
+        with pytest.raises(ValueError):
+            list(harness.enumerate_group("A", 3, *bounds))
+    assert list(harness.enumerate_group("A", 3, 0, None)) == list(
+        harness.enumerate_group("A", 3)
+    )
+
+
 def test_statistic_resolution():
     name, fn = harness.integer_statistic("A", "inv")
     assert name == "inv" and fn((2, 1)) == 1
@@ -316,9 +383,11 @@ def reference_distances(family, n, set_name):
 
 
 def test_cayley_tables_match_plain_bfs():
+    # the smallest rank of each family too: a BFS step reads n = 1 words
     cases = [
         (family, n, set_name)
-        for family, n in (("A", 5), ("B", 4), ("B", 5), ("D", 4), ("D", 5))
+        for family, n in (("A", 1), ("B", 1), ("D", 2), ("A", 5), ("B", 4), ("B", 5),
+                          ("D", 4), ("D", 5))
         for set_name in harness.GENERATING_SET_NAMES[family]
     ]
     for family, n, set_name in cases + [("B", 6, "S^B")]:
