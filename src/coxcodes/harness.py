@@ -12,14 +12,17 @@ from the decoder once per call (_unrank_tables).  Supported ranks: A up to
 9, B up to 8, D from 2 up to 8; anything larger is refused outright rather
 than truncated.
 
-Public ``rank`` validates its input: the length must be n and the element a
-member of the group.  The BFS behind the oracle tables walks inverse words
-and ranks each by two table lookups (``_rank_tables``, built with each
-distance table from the unchecked core ``_ranker``).  The oracles read the distance table in
-rank order beside the enumeration, and the transport check proves
-bijectivity by membership and the stored inverse, so neither ranks anything
-on its passing path; a transport failure ranks two members with the core to
-tell a duplicate image from a wrong inverse.
+Public ``rank`` validates its input (length n, a member of the group) and
+ranks with the unchecked core ``_ranker``.  The BFS behind the oracle tables
+ranks by two lookups (``_rank_tables``) read off the unrank tables, so rank
+and unrank share one head/tail split.  It walks the word that split cuts, s
+in A and B and s^-1 in D (_HEAD_IS_LETTERS), by w -> g^-1 w; a depth is the
+word length of s, in A and B because every generating set is closed under
+inversion.  The oracles read the distance table in rank order beside the
+enumeration, and the transport check proves bijectivity by membership and
+the stored inverse, so neither ranks anything on its passing path; a
+transport failure ranks two members with the core to tell a duplicate
+image from a wrong inverse.
 
 Named checks (see CHECKS) re-prove the equidistribution and transport
 identities by direct evaluation on every element; their results are report
@@ -30,8 +33,10 @@ joint distribution in the report is counted in that pass.  A report's
 ``checked`` counts element x pair comparisons (twice the group order for a
 generating-function check), not elements enumerated.  Each pointwise check
 (transport, oracles, codes, type-d-sor-prime) runs one scan (_scan) over its
-cases in rank order, which stops at the first counterexample; there
-``checked`` counts the cases taken.
+cases, which stops at the first counterexample; there ``checked`` counts the
+cases taken.  The cases come in rank order, except that a codes check first
+walks every code in lexicographic order (c_1 outermost, c_n fastest, each
+entry in digit order) and only then every element in rank order.
 """
 
 from __future__ import annotations
@@ -170,58 +175,42 @@ def _ranker(family: str, n: int) -> Callable[[Sequence[int]], int]:
     return core
 
 
-def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
-    """Rank by two table lookups on the inverse word: (k, head, tail).
-
-    With k = n // 2 and t the inverse of a member s, the rank of s is
-    head[t[:k]] + tail[t[k:]].  The ranking codes of A, B and D all split
-    this way on the inverse word (D's deletion code does not split on s
-    itself).  Heads and tails fall into components, which are the value set
-    of the head, and in D also its bar parity, since a D head and tail join
-    into a member only when their bar counts have the same parity.  Within a
-    component the rank is a sum of a head term and a tail term, each fixed by
-    ranking one reference pair with _ranker: a head's entry is the rank of it
-    joined to the component's first tail, and a tail's entry is the rank of
-    the component's first head joined to it, less the rank of the two firsts.
-    """
-    core = _ranker(family, n)
-    k = n // 2
-    letters = _code_values(family, n)[-1]  # every letter of the family's words
-    full = frozenset(range(1, n + 1))
-    even = family == "D"
-
-    def components(m):
-        """Words of m letters with distinct values, by (value set, parity)."""
-        parts: dict[tuple, list] = {}
-        for w in itertools.permutations(letters, m):
-            values = frozenset(map(abs, w))
-            if len(values) == m:
-                bars = sum(v < 0 for v in w) % 2 if even else 0
-                parts.setdefault((values, bars), []).append(w)
-        return parts
-
-    def rank_word(t):
-        return core(perm_b.inverse(t))
-
-    tails = components(n - k)
-    head, tail = {}, {}
-    for (values, bars), heads in components(k).items():
-        joins = tails[full - values, bars]
-        h0, t0 = heads[0], joins[0]
-        base = rank_word(h0 + t0)
-        for h in heads:
-            head[h] = rank_word(h + t0)
-        for t in joins:
-            tail[t] = rank_word(h0 + t) - base
-    return k, head, tail
-
-
 # Which entries of a decoded element the head code c_1..c_k fixes, once the
 # tail c_{k+1}..c_n is known: the signed Lehmer code of A and B fills the
 # places from the right, so the head fixes places 1..k; the E-code of D
 # inserts letter i at place |c_i|, so the head fixes letters 1..k, in their
 # order in the element, and the tail decides where they go.
 _HEAD_IS_LETTERS = {"A": False, "B": False, "D": True}
+
+
+def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
+    """Rank by two table lookups on a word w: (k, head, tail).
+
+    The rank of a member s is head[w[:k]] + tail[w[k:]], read off
+    _unrank_tables with its k = (n + 1) // 2.  In A and B the head fixes
+    places, so w is s itself; in D it fixes letters, so w is the inverse of s,
+    whose first k entries are the signed places of letters 1..k.  The element
+    of rank i * size + j is head word j of tail i joined to that tail, so
+    tail i's entry, the w[k:] of any of its elements, is i * size, and a
+    head's entry is its index j, the same for every tail that shares its head
+    list and pick.
+    """
+    size, tails = _unrank_tables(family, n)
+    k = len(tails[0][1][0])  # a head word has the split's k letters
+    letters = _HEAD_IS_LETTERS[family]
+
+    def word(h, fixed, pick):
+        element = h + fixed if pick is None else pick(h + fixed)
+        return perm_b.inverse(element) if letters else element
+
+    head, tail, read = {}, {}, set()
+    for i, (fixed, heads, pick) in enumerate(tails):
+        tail[word(heads[0], fixed, pick)[k:]] = i * size
+        if (pick, id(heads)) not in read:
+            read.add((pick, id(heads)))
+            for j, h in enumerate(heads):
+                head[word(h, fixed, pick)[:k]] = j
+    return k, head, tail
 
 
 def _unrank_tables(family: str, n: int) -> tuple[int, list]:
@@ -438,6 +427,8 @@ def sweep(family: str, n: int, names: Sequence[str], workers: int = 1) -> Counte
     >>> sorted(sweep("A", 2, ["inv", "Cyc"]).items())
     [((0, (1, 2)), 1), ((1, (1,)), 1)]
     """
+    if isinstance(names, str):  # else each letter would be taken for a name
+        raise ValueError(f"names must be a sequence of names, not {names!r}")
     return _sweep(family, n, [names], workers)[0]
 
 
@@ -548,8 +539,8 @@ class VerifyReport:
 
 def _scan(name, family, n, cases, details=None) -> VerifyReport:
     """The report of a pointwise check: cases yields None or a counterexample
-    per case, in rank order; the scan stops at the first counterexample, and
-    checked counts the cases taken, that one included."""
+    per case, in the check's order; the scan stops at the first
+    counterexample, and checked counts the cases taken, that one included."""
     checked, counterexample = 0, None
     for checked, counterexample in enumerate(cases, 1):
         if counterexample is not None:
@@ -699,14 +690,18 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
     """Distances from the identity in the Cayley graph, indexed by rank.
 
     Breadth-first search over the whole group; refuses orders above
-    100000 elements.  The search walks inverse words: (s g)^-1 = g^-1 s^-1,
-    so a step by g maps each letter x of s^-1 to g^-1(x), one lookup in a
-    table of g^-1 indexed by signed letter (a barred letter indexes from the
-    end), all n of them read at once by an itemgetter over s^-1.  Each image
-    is ranked by its two halves (_rank_tables), so no element is composed or
-    encoded per edge.  Distances are kept in a rank-indexed bytearray (255 =
-    not reached yet), which holds the diameters of every group the limit
-    admits (at most n^2 = 36, for S^B on B6).
+    100000 elements.  The search walks the word w that _rank_tables ranks,
+    s in A and B and s^-1 in D, and a step by g maps each letter x of w to
+    g^-1(x): one lookup in a table of g^-1 indexed by signed letter (a
+    barred letter indexes from the end), all n read at once by an itemgetter
+    over w.  Each image is ranked by its two halves, so no element is
+    composed or encoded per edge.  In D a step takes s to s g, so a depth is
+    the word length of s; in A and B it takes s to g^-1 s, and a depth is
+    the word length over the generators' inverses, the same because every
+    generating set is closed under inversion.  Distances are kept in a
+    rank-indexed bytearray (255 = not reached yet), which holds the
+    diameters of every group the limit admits (at most n^2 = 36, for S^B on
+    B6).
     """
     order = group_order(family, n)
     if order > _BFS_LIMIT:

@@ -77,19 +77,22 @@ def test_rank_rejects_wrong_length_and_non_members():
 
 def test_ranker_core_matches_enumeration_order():
     # the rank of an element is, by definition, its index in enumerate_group;
-    # the rank tables give it too, from the halves of the inverse word
-    for family, n in (("A", 7), ("B", 6), ("D", 6)):
+    # the rank tables give it too, from the halves of the word the BFS walks:
+    # the element in A and B, its inverse in D; on every group the BFS admits
+    groups = [
+        (family, n) for family, top in (("A", 8), ("B", 6), ("D", 6))
+        for n in range(harness._MIN_N[family], top + 1)
+    ]
+    for family, n in groups:
         core = harness._ranker(family, n)
-        ranks = [core(el) for el in harness.enumerate_group(family, n)]
+        elements = list(harness.enumerate_group(family, n))
+        ranks = list(map(core, elements))
         assert ranks == list(range(harness.group_order(family, n)))
         k, head, tail = harness._rank_tables(family, n)
-        assert k == n // 2
-        words = map(perm_b.inverse, harness.enumerate_group(family, n))
-        assert [head[t[:k]] + tail[t[k:]] for t in words] == ranks
-    # A8, the largest group under the BFS limit: the table sums alone
-    k, head, tail = harness._rank_tables("A", 8)
-    words = map(perm_b.inverse, harness.enumerate_group("A", 8))
-    assert [head[t[:k]] + tail[t[k:]] for t in words] == list(range(40320))
+        assert k == (n + 1) // 2
+        if harness._HEAD_IS_LETTERS[family]:
+            elements = map(perm_b.inverse, elements)
+        assert [head[w[:k]] + tail[w[k:]] for w in elements] == ranks
 
 
 def test_enumerate_group_slicing():
@@ -232,6 +235,12 @@ def test_sweep_groups_count_marginals_of_the_union():
         assert harness._sweep("B", 5, groups, workers) == expected
 
 
+def test_sweep_refuses_a_bare_name():
+    # a str is a sequence of letters, none of them the name that was meant
+    with pytest.raises(ValueError, match="sequence of names"):
+        harness.sweep("A", 3, "inv")
+
+
 def test_bad_worker_counts_rejected():
     for workers in (0, -1):
         with pytest.raises(ValueError):
@@ -333,6 +342,12 @@ def test_generating_set_sizes():
             assert len(set(gens)) == len(gens)
             group = harness.enumerate_group(family, n)
             assert set(gens) == {s for s in group if length(s) == 1}
+        # each generator is its own inverse, so every set is closed under
+        # inversion, on which the BFS word lengths of A and B rely
+        for n in range(harness._MIN_N[family], harness._MAX_N[family] + 1):
+            ident = harness.identity_of(family, n)
+            gens = harness.generating_set(family, n, name)
+            assert all(perm_b.compose(g, g) == ident for g in gens)
     n = 4
     with pytest.raises(ValueError):
         harness.generating_set("B", n, "T^A")
@@ -383,11 +398,13 @@ def reference_distances(family, n, set_name):
 
 
 def test_cayley_tables_match_plain_bfs():
-    # the smallest rank of each family too: a BFS step reads n = 1 words
+    # the smallest rank of each family too, where a BFS step reads n = 1
+    # words, and A4 and A6 beside A5, so that A has both parities of the
+    # head/tail split the BFS ranks by
     cases = [
         (family, n, set_name)
-        for family, n in (("A", 1), ("B", 1), ("D", 2), ("A", 5), ("B", 4), ("B", 5),
-                          ("D", 4), ("D", 5))
+        for family, n in (("A", 1), ("B", 1), ("D", 2), ("A", 4), ("A", 5), ("A", 6),
+                          ("B", 4), ("B", 5), ("D", 4), ("D", 5))
         for set_name in harness.GENERATING_SET_NAMES[family]
     ]
     for family, n, set_name in cases + [("B", 6, "S^B")]:
