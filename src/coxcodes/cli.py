@@ -27,19 +27,6 @@ _VALIDATORS = {
     "D": perm_d.validate_even_signed,
 }
 
-# `stats` output keys per family, integer statistics then set statistics;
-# D's N is the bar count, a statistic of family B
-_STATS_KEYS = {
-    "A": (("inv", "sor", "cyc", "rl-min", "lr-max", "nmin"), ("Cyc", "Lmap", "Rmil")),
-    "B": (
-        ("inv_B", "sor_B", "l'_B", "cyc_B", "nmin_B", "nmax_B", "rl-min_B",
-         "lr-max_B", "N"),
-        ("Cyc_B", "Lmap_B", "Rmil_B"),
-    ),
-    "D": (("inv_D", "sor_D", "sor'_D", "nmin_D", "lt'_D", "N"), ()),
-}
-
-
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -106,13 +93,12 @@ def _fmt_word(values) -> str:
 
 
 def _stats_record(family: str, el: tuple[int, ...]) -> dict:
-    ints, sets = _STATS_KEYS[family]
+    """Every statistic of the element, integer then set, in registry order."""
     record = {}
-    for key in ints:
-        _, stat = harness.integer_statistic("B" if key == "N" else family, key)
+    for key, stat in harness.INTEGER_STATISTICS[family].items():
         record[key] = stat(el)
-    for key in sets:
-        record[key] = sorted(harness.set_statistic(family, key)[1](el))
+    for key, stat in harness.SET_STATISTICS[family].items():
+        record[key] = sorted(stat(el))
     return record
 
 

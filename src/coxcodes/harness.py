@@ -26,12 +26,13 @@ image from a wrong inverse.
 
 Named checks (see CHECKS) re-prove the equidistribution and transport
 identities by direct evaluation on every element; their results are report
-payloads, never exceptions.  Each distribution check runs one sweep (see
-sweep) over the union of the statistics it compares: the group is
-enumerated once, every statistic is evaluated once per element, and each
-joint distribution in the report is counted in that pass.  A report's
-``checked`` counts element x pair comparisons (twice the group order for a
-generating-function check), not elements enumerated.  Each pointwise check
+payloads, never exceptions.  A distribution check (_check_joint, among them
+the paper's type-A and type-B triple theorems) sweeps once over the union
+of its groups' statistics, of any arity and kind; ``checked`` is the number
+of groups times the group order.  A failure gives ``groups`` (the group and
+its reference: the first group or the formula), the value tuple ``key``,
+its ``count`` and ``expected``, and the ``rank`` and ``element`` of the
+lowest-rank element with that key.  Each pointwise check
 (transport, oracles, codes, type-d-sor-prime) runs one scan (_scan) over its
 cases, which stops at the first counterexample; there ``checked`` counts the
 cases taken.  The cases come in rank order, except that a codes check first
@@ -66,7 +67,6 @@ __all__ = [
     "integer_statistic_names",
     "set_statistic_names",
     "joint_distribution",
-    "set_pair_distribution",
     "VerifyReport",
     "verify_transport",
     "BIJECTIONS",
@@ -315,6 +315,7 @@ def enumerate_group(
         yield from words if pick is None else map(pick, words)
 
 
+# registry order is the order `coxcodes stats` prints, integer then set
 INTEGER_STATISTICS: dict[str, dict[str, Callable]] = {
     "A": {
         "inv": perm_a.inv,
@@ -327,13 +328,13 @@ INTEGER_STATISTICS: dict[str, dict[str, Callable]] = {
     "B": {
         "inv_B": perm_b.inv_b,
         "sor_B": perm_b.sor_b,
-        "nmin_B": perm_b.nmin_b,
-        "nmax_B": perm_b.nmax_b,
         "l'_B": perm_b.reflection_length_b,
         "cyc_B": perm_b.cyc_b,
-        "N": perm_b.neg_count,
+        "nmin_B": perm_b.nmin_b,
+        "nmax_B": perm_b.nmax_b,
         "rl-min_B": perm_b.rl_min_b,
         "lr-max_B": perm_b.lr_max_b,
+        "N": perm_b.neg_count,
     },
     "D": {
         "inv_D": perm_d.inv_d,
@@ -341,6 +342,7 @@ INTEGER_STATISTICS: dict[str, dict[str, Callable]] = {
         "sor'_D": perm_d.sor_d_prime,
         "nmin_D": perm_d.nmin_d,
         "lt'_D": perm_d.reflection_length_d,
+        "N": perm_b.neg_count,
     },
 }
 
@@ -417,17 +419,19 @@ def _statistic_name(family: str, name: str) -> str:
 def sweep(family: str, n: int, names: Sequence[str], workers: int = 1) -> Counter:
     """Count the tuple of the named statistics' values over the whole group.
 
-    The group is enumerated once and each named statistic (integer or set)
-    is evaluated once per element; set values are stored as sorted tuples.
+    names is a sequence, such as a list or tuple, and orders every key.  The
+    group is enumerated once and each named statistic (integer or set) is
+    evaluated once per element; set values are stored as sorted tuples.
     With workers > 1 the rank range is split into one chunk per worker
     process, with no more processes than os.cpu_count() reports, and the
-    chunks' counts are added; addition is associative and
-    commutative, so the result is identical to the sequential run.
+    chunks' counts are added; addition is associative and commutative, so
+    the result is identical to the sequential run.
 
     >>> sorted(sweep("A", 2, ["inv", "Cyc"]).items())
     [((0, (1, 2)), 1), ((1, (1,)), 1)]
     """
-    if isinstance(names, str):  # else each letter would be taken for a name
+    # a str splits into letters; a set orders its names by the hash seed
+    if isinstance(names, str) or not isinstance(names, Sequence):
         raise ValueError(f"names must be a sequence of names, not {names!r}")
     return _sweep(family, n, [names], workers)[0]
 
@@ -439,11 +443,8 @@ _BLOCK = 1024
 
 def _sweep(family, n, groups, workers) -> list[Counter]:
     """One sweep over the union of the groups' statistics, counting the value
-    tuple of each group of names separately.
-
-    A check that compares several pairs counts each pair here, not the tuple
-    of their union, so its memory is that of its pair tables; sweep is the
-    case of a single group.
+    tuple of each group of names separately, not the tuple of their union, so
+    its memory is that of the groups' tables; sweep is the case of one group.
     """
     order = group_order(family, n)
     _check_workers(workers)
@@ -478,16 +479,22 @@ def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
     counts = [Counter() for _ in places]
     elements = enumerate_group(family, n, start, stop)
     while block := list(itertools.islice(elements, _BLOCK)):
-        columns = []
-        for name in names:
-            if name in SET_STATISTICS[family]:
-                values = map(SET_STATISTICS[family][name], block)
-                columns.append(list(map(tuple, map(sorted, values))))
-            else:
-                columns.append(list(map(INTEGER_STATISTICS[family][name], block)))
+        columns = _columns(family, names, block)
         for count, place in zip(counts, places):
             count.update(zip(*(columns[i] for i in place)))
     return counts
+
+
+def _columns(family, names, block) -> list[list]:
+    """Each named statistic's values on the block, sets as sorted tuples."""
+    columns = []
+    for name in names:
+        if name in SET_STATISTICS[family]:
+            values = map(SET_STATISTICS[family][name], block)
+            columns.append(list(map(tuple, map(sorted, values))))
+        else:
+            columns.append(list(map(INTEGER_STATISTICS[family][name], block)))
+    return columns
 
 
 def joint_distribution(
@@ -496,12 +503,6 @@ def joint_distribution(
     """Sum of q^stat1(s) * t^stat2(s) over the whole group: a two-name sweep."""
     names = [integer_statistic(family, stat)[0] for stat in (stat1, stat2)]
     return QT(sweep(family, n, names, workers))
-
-
-def set_pair_distribution(family: str, n: int, stat1: str, stat2: str) -> Counter:
-    """Multiset of (stat1(s), stat2(s)) pairs, sets stored as sorted tuples."""
-    names = [set_statistic(family, stat)[0] for stat in (stat1, stat2)]
-    return sweep(family, n, names)
 
 
 class VerifyReport:
@@ -756,60 +757,58 @@ def cayley_distance(
 # call at call time, so that wrappers put on those apply.
 
 
-def _check_type_d_mahonian(n, workers=1):
-    # not a _check_pairs: the report holds only the t = 1 specializations of
-    # the type-d-bivariate joints, single-statistic sweeps under their own
-    # labels, so their t-statistics nmin_D and lt'_D are never evaluated
-    inv, sor = _sweep("D", n, [("inv_D",), ("sor_D",)], workers)
-    d1 = QT({(q, 0): count for (q,), count in inv.items()})
-    d2 = QT({(q, 0): count for (q,), count in sor.items()})
-    product = qpoly.gf_type_d_univariate(n)
-    details = {
-        "inv_D at t=1": d1.text(),
-        "sor_D at t=1": d2.text(),
-        "product_formula": product.text(),
-    }
-    return VerifyReport(
-        "", "D", n, d1 == d2 == product, 2 * group_order("D", n), None, details
-    )
+def _check_joint(family, groups, n, workers=1, formula=None):
+    """The groups' distributions of value tuples must agree, and with formula
+    given each must equal that product formula of qpoly instead.
 
-
-def _check_pairs(family, pairs, n, workers=1, formula=None):
-    """The joint distributions of the pairs must agree, and with formula
-    given also equal that product formula of qpoly."""
-    dists = list(zip(pairs, map(QT, _sweep(family, n, pairs, workers))))
-    base = dists[0][1]
-    details = {f"joint({a}, {b})": d.text() for (a, b), d in dists}
-    if formula is not None:
-        base = getattr(qpoly, formula)(n)
-        details["product_formula"] = base.text()
-    passed = all(d == base for _, d in dists)
-    return VerifyReport(
-        "", family, n, passed, len(pairs) * group_order(family, n), None, details
-    )
-
-
-def _check_set_pairs(family, stats, n, workers=1):
-    pairs = [(a, b) for a in stats for b in stats if a != b]
-    dists = list(zip(pairs, _sweep(family, n, pairs, workers)))
-    base = dists[0][1]
-    counterexample = None
-    for p, d in dists[1:]:
-        if d != base:
-            keys = set(base) | set(d)
-            key = min(k for k in keys if base.get(k, 0) != d.get(k, 0))
+    A group of one or two integer statistics is reported as its polynomial
+    (one statistic at t = 1); the other groups are listed by name in one
+    line.  A group that differs from its reference, the first group or the
+    formula, gives the counterexample at the lowest key it over-counts (the
+    lowest it differs at, if it over-counts none), with the lowest-rank
+    element that has that key.
+    """
+    counts = _sweep(family, n, groups, workers)
+    product = formula and getattr(qpoly, formula)(n)
+    details, listed, counterexample = {}, [], None
+    for g, count in zip(groups, counts):
+        if len(g) > 2 or not set(g) <= INTEGER_STATISTICS[family].keys():
+            listed.append(g)
+        else:
+            label = f"joint({g[0]}, {g[1]})" if len(g) == 2 else f"{g[0]} at t=1"
+            details[label] = QT({(*k, 0)[:2]: c for k, c in count.items()}).text()
+        expected = counts[0]
+        if formula:  # the formula's terms keyed as g's value tuples
+            expected = Counter()
+            for q, t, c in product.terms():
+                expected[(q, t)[:len(g)]] += c
+        if counterexample is None and count != expected:
+            keys = count.keys() | expected.keys()
+            differ = [k for k in keys if count[k] != expected[k]]
+            key = min(differ, key=lambda k: (count[k] < expected[k], k))
             counterexample = {
-                "pair": f"({p[0]}, {p[1]}) vs ({pairs[0][0]}, {pairs[0][1]})",
-                "sets": [list(key[0]), list(key[1])],
-                "count": d.get(key, 0),
-                "expected": base.get(key, 0),
+                "groups": [list(g), formula or list(groups[0])],
+                "key": [list(v) if isinstance(v, tuple) else v for v in key],
+                "count": count[key], "expected": expected[key],
+                **_witness(family, n, g, key),
             }
-            break
-    checked = len(pairs) * group_order(family, n)
-    details = {"pairs": ", ".join(f"({a}, {b})" for a, b in pairs)}
+    if listed:
+        label = "pairs" if all(len(g) == 2 for g in listed) else "groups"
+        details[label] = ", ".join(f"({', '.join(g)})" for g in listed)
+    if formula:
+        details["product_formula"] = product.text()
+    checked = len(groups) * group_order(family, n)
     return VerifyReport(
         "", family, n, counterexample is None, checked, counterexample, details
     )
+
+
+def _witness(family, n, names, key) -> dict:
+    """Rank and element of the first element whose names' values are key."""
+    for r, el in enumerate(enumerate_group(family, n)):
+        if next(zip(*_columns(family, names, [el]))) == key:
+            return {"rank": r, "element": list(el)}
+    return {}
 
 
 def _check_type_d_sor_prime(n, workers=1):
@@ -882,31 +881,45 @@ def _check_codes(family, n, workers=1):
 
 CHECKS: dict[str, Callable[..., VerifyReport]] = {
     "type-a-gf": partial(
-        _check_pairs, "A", [("inv", "rl-min"), ("sor", "cyc")], formula="gf_type_a"
+        _check_joint, "A", [("inv", "rl-min"), ("sor", "cyc")], formula="gf_type_a"
     ),
     "type-a-transport": partial(_transport, "phi"),
-    "type-a-set-pairs": partial(_check_set_pairs, "A", ("Cyc", "Lmap", "Rmil")),
+    "type-a-set-pairs": partial(
+        _check_joint, "A", list(itertools.permutations(("Cyc", "Lmap", "Rmil"), 2))
+    ),
+    "type-a-triples": partial(
+        _check_joint, "A", [("inv", "Lmap", "Rmil"), ("sor", "Lmap", "Cyc")]
+    ),
     "type-a-four-pairs": partial(
-        _check_pairs, "A",
+        _check_joint, "A",
         [("sor", "cyc"), ("inv", "rl-min"), ("inv", "lr-max"), ("sor", "lr-max")],
     ),
     "type-b-gf": partial(
-        _check_pairs, "B", [("inv_B", "nmin_B"), ("sor_B", "l'_B")],
+        _check_joint, "B", [("inv_B", "nmin_B"), ("sor_B", "l'_B")],
         formula="gf_type_b",
     ),
     "type-b-transport": partial(_transport, "psi"),
-    "type-b-set-pairs": partial(_check_set_pairs, "B", ("Cyc_B", "Lmap_B", "Rmil_B")),
+    "type-b-set-pairs": partial(
+        _check_joint, "B",
+        list(itertools.permutations(("Cyc_B", "Lmap_B", "Rmil_B"), 2)),
+    ),
+    "type-b-triples": partial(
+        _check_joint, "B",
+        [("inv_B", "Lmap_B", "Rmil_B"), ("sor_B", "Lmap_B", "Cyc_B")],
+    ),
     "type-b-four-pairs": partial(
-        _check_pairs, "B",
+        _check_joint, "B",
         [("sor_B", "l'_B"), ("inv_B", "nmin_B"), ("inv_B", "nmax_B"),
          ("sor_B", "nmax_B")],
     ),
     "type-d-sor-prime": _check_type_d_sor_prime,
     "type-d-bivariate": partial(
-        _check_pairs, "D", [("inv_D", "nmin_D"), ("sor_D", "lt'_D")],
+        _check_joint, "D", [("inv_D", "nmin_D"), ("sor_D", "lt'_D")],
         formula="gf_type_d_bivariate",
     ),
-    "type-d-mahonian": _check_type_d_mahonian,
+    "type-d-mahonian": partial(
+        _check_joint, "D", [("inv_D",), ("sor_D",)], formula="gf_type_d_univariate"
+    ),
     "type-d-transport": partial(_transport, "rho"),
     "oracle-reflection-length-b": partial(_check_oracle, "B", "T^B", "l'_B"),
     "oracle-reflection-length-d": partial(_check_oracle, "D", "T^D", "lt'_D"),

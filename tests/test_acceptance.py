@@ -162,3 +162,16 @@ def test_criterion_14_worked_examples():
             (3, 5),
         )
         assert qpoly.gf_type_d_bivariate(2).text() == "1 + 2*q*t + q^2*t"
+
+
+def test_criterion_15_type_a_triples():
+    with criterion(15, "(inv, Lmap, Rmil) ~ (sor, Lmap, Cyc) on S_n, n=1..8", 30):
+        for n in range(1, 9):
+            ok(harness.run_check("type-a-triples", n))
+
+
+def test_criterion_16_type_b_triples():
+    label = "(inv_B, Lmap_B, Rmil_B) ~ (sor_B, Lmap_B, Cyc_B) on B_n, n=1..6"
+    with criterion(16, label, 30):
+        for n in range(1, 7):
+            ok(harness.run_check("type-b-triples", n))

@@ -1,6 +1,7 @@
 """Tests for enumeration, distributions, oracles, and the check registry."""
 
 import doctest
+import hashlib
 import json
 import math
 import os
@@ -201,6 +202,7 @@ def test_statistic_names():
     assert "sor" in harness.integer_statistic_names("A")
     assert "nmin_B" in harness.integer_statistic_names("B")
     assert "lt'_D" in harness.integer_statistic_names("D")
+    assert "N" in harness.integer_statistic_names("D")
     assert harness.set_statistic_names("D") == []
 
 
@@ -218,6 +220,10 @@ def test_sweep_counts_value_tuples():
         harness.sweep("B", 3, [])
     with pytest.raises(ValueError):
         harness.sweep("B", 3, ["inv"])
+    assert harness.sweep("A", 2, ["Cyc", "Lmap"]) == {
+        ((1, 2), (1, 2)): 1, ((1,), (1,)): 1,
+    }
+    assert sum(harness.sweep("B", 2, ["Cyc_B", "Lmap_B"]).values()) == 8
 
 
 def test_sweep_groups_count_marginals_of_the_union():
@@ -236,9 +242,11 @@ def test_sweep_groups_count_marginals_of_the_union():
 
 
 def test_sweep_refuses_a_bare_name():
-    # a str is a sequence of letters, none of them the name that was meant
-    with pytest.raises(ValueError, match="sequence of names"):
-        harness.sweep("A", 3, "inv")
+    # a str is a sequence of letters, none of them the name that was meant;
+    # a set would put its names in key positions that follow the hash seed
+    for names in ("inv", {"inv", "cyc", "sor"}, frozenset({"inv"}), {"inv": 1}):
+        with pytest.raises(ValueError, match="sequence of names"):
+            harness.sweep("A", 3, names)
 
 
 def test_bad_worker_counts_rejected():
@@ -259,6 +267,8 @@ def test_distribution_checks_parallel_match_sequential():
         ("type-b-four-pairs", 3),
         ("type-a-set-pairs", 4),
         ("type-b-set-pairs", 3),
+        ("type-a-triples", 4),
+        ("type-b-triples", 3),
         ("type-d-bivariate", 3),
         ("type-d-mahonian", 4),
     ):
@@ -267,21 +277,85 @@ def test_distribution_checks_parallel_match_sequential():
         assert harness.run_check(name, n, workers=2).to_dict() == seq
 
 
-def test_broken_statistic_makes_its_check_fail(monkeypatch):
-    nmax_b = harness.INTEGER_STATISTICS["B"]["nmax_B"]
-    monkeypatch.setitem(
-        harness.INTEGER_STATISTICS["B"], "nmax_B", lambda s: nmax_b(s) + 1
-    )
-    assert not harness.run_check("type-b-four-pairs", 3).passed
-    monkeypatch.undo()
-    lmap_b = harness.SET_STATISTICS["B"]["Lmap_B"]
-    monkeypatch.setitem(
-        harness.SET_STATISTICS["B"], "Lmap_B", lambda w: lmap_b(w) - {1}
-    )
-    report = harness.run_check("type-b-set-pairs", 3)
+# one statistic of each distribution check, broken on a single element: an
+# integer statistic is off by one there, a set statistic gains or loses 1
+_BROKEN = [
+    ("type-a-gf", 4, "rl-min"),
+    ("type-a-set-pairs", 4, "Lmap"),
+    ("type-a-triples", 4, "Rmil"),
+    ("type-a-four-pairs", 4, "lr-max"),
+    ("type-b-gf", 3, "l'_B"),
+    ("type-b-set-pairs", 3, "Rmil_B"),
+    ("type-b-triples", 3, "inv_B"),
+    ("type-b-four-pairs", 3, "nmax_B"),
+    ("type-d-bivariate", 3, "nmin_D"),
+    ("type-d-mahonian", 4, "sor_D"),
+]
+
+
+@pytest.mark.parametrize("name, n, stat", _BROKEN, ids=[c[0] for c in _BROKEN])
+def test_every_distribution_check_can_fail(monkeypatch, name, n, stat):
+    family = harness.run_check(name, n).family
+    target = harness.unrank(family, n, harness.group_order(family, n) // 2 + 1)
+    if stat in harness.INTEGER_STATISTICS[family]:
+        f = harness.INTEGER_STATISTICS[family][stat]
+        monkeypatch.setitem(
+            harness.INTEGER_STATISTICS[family], stat, lambda s: f(s) + (s == target)
+        )
+    else:
+        f = harness.SET_STATISTICS[family][stat]
+        monkeypatch.setitem(
+            harness.SET_STATISTICS[family], stat,
+            lambda s: f(s) ^ {1} if s == target else f(s),
+        )
+    report = harness.run_check(name, n)
     assert not report.passed
-    assert set(report.counterexample) == {"pair", "sets", "count", "expected"}
-    assert report.counterexample["count"] != report.counterexample["expected"]
+    ce = report.counterexample
+    assert set(ce) == {"groups", "key", "count", "expected", "rank", "element"}
+    assert ce["count"] > ce["expected"]
+    # the witness reproduces: its rank unranks to it, and the named group
+    # counts ce["count"] elements with its value tuple
+    assert harness.unrank(family, n, ce["rank"]) == tuple(ce["element"])
+    key = tuple(tuple(v) if isinstance(v, list) else v for v in ce["key"])
+    group = ce["groups"][0]
+    assert harness.sweep(family, n, group)[key] == ce["count"]
+    assert harness._columns(family, group, [tuple(ce["element"])]) == [
+        [v] for v in key
+    ]
+
+
+def test_formula_over_counting_everywhere_gives_no_witness(monkeypatch):
+    # a product formula larger than the group falls short of no group's count
+    # at any key, so no element can witness the difference
+    formula = qpoly.gf_type_a(3) + qpoly.monomial(q=9, t=9)
+    monkeypatch.setattr(qpoly, "gf_type_a", lambda n: formula)
+    report = harness.run_check("type-a-gf", 3)
+    assert not report.passed
+    assert report.counterexample == {
+        "groups": [["inv", "rl-min"], "gf_type_a"],
+        "key": [9, 9], "count": 0, "expected": 1,
+    }
+
+
+_PARENT_REPORTS_SHA256 = (
+    "ff289bf256d1a65c5a1cff01bba8df0dfa9cea0420aa9083e67346a8df3597af"
+)
+
+
+def test_distribution_reports_keep_their_bytes():
+    # one hash pins the JSON of every report of the eight checks other than
+    # the triples, for every n up to A7, B5 and D6 with 1 and 2 workers
+    digest = hashlib.sha256()
+    for name in ("type-a-gf", "type-a-set-pairs", "type-a-four-pairs",
+                 "type-b-gf", "type-b-set-pairs", "type-b-four-pairs",
+                 "type-d-bivariate", "type-d-mahonian"):
+        family = harness.run_check(name, 3).family
+        top = {"A": 7, "B": 5, "D": 6}[family]
+        for n in range(harness._MIN_N[family], top + 1):
+            for workers in (1, 2):
+                report = harness.run_check(name, n, workers).to_dict()
+                digest.update(json.dumps(report).encode())
+    assert digest.hexdigest() == _PARENT_REPORTS_SHA256
 
 
 def test_joint_distribution_anchor():
@@ -297,13 +371,6 @@ def test_joint_distribution_parallel_matches_sequential():
     par = harness.joint_distribution("B", 4, "inv_B", "nmin_B", workers=3)
     assert seq == par
     assert seq.text() == par.text()
-
-
-def test_set_pair_distribution():
-    dist = harness.set_pair_distribution("A", 2, "Cyc", "Lmap")
-    assert dist == {((1, 2), (1, 2)): 1, ((1,), (1,)): 1}
-    total = sum(harness.set_pair_distribution("B", 2, "Cyc_B", "Lmap_B").values())
-    assert total == 8
 
 
 def test_verify_transport():
@@ -613,10 +680,12 @@ def test_check_registry_names():
         "type-a-gf",
         "type-a-transport",
         "type-a-set-pairs",
+        "type-a-triples",
         "type-a-four-pairs",
         "type-b-gf",
         "type-b-transport",
         "type-b-set-pairs",
+        "type-b-triples",
         "type-b-four-pairs",
         "type-d-sor-prime",
         "type-d-bivariate",
