@@ -220,10 +220,13 @@ def test_sweep_counts_value_tuples():
         harness.sweep("B", 3, [])
     with pytest.raises(ValueError):
         harness.sweep("B", 3, ["inv"])
-    assert harness.sweep("A", 2, ["Cyc", "Lmap"]) == {
-        ((1, 2), (1, 2)): 1, ((1,), (1,)): 1,
-    }
-    assert sum(harness.sweep("B", 2, ["Cyc_B", "Lmap_B"]).values()) == 8
+
+
+def test_set_pair_distribution():
+    dist = harness.sweep("A", 2, ["Cyc", "Lmap"])
+    assert dist == {((1, 2), (1, 2)): 1, ((1,), (1,)): 1}
+    total = sum(harness.sweep("B", 2, ["Cyc_B", "Lmap_B"]).values())
+    assert total == 8
 
 
 def test_sweep_groups_count_marginals_of_the_union():
