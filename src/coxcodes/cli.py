@@ -242,7 +242,7 @@ def cmd_table(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--family", choices=["A", "B", "D"],
+    common.add_argument("--family", choices=harness.FAMILIES,
                         help="Coxeter family of the input")
     common.add_argument("--n", type=int, metavar="N",
                         help="rank; checked against inputs, required for verify/table")

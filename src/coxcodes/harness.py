@@ -1,23 +1,24 @@
 """Exhaustive verification harness over the families A (permutations),
 B (signed permutations), and D (even-signed permutations).
 
-The code bijections (Lehmer for A, signed Lehmer for B, the deletion code
-for D) give every element a rank in a mixed-radix numeral system: code
-entry c_i is a digit, c_1 the least significant.  Rank order is therefore
-the product order of the entries' value lists with c_n outermost, which
-supports deterministic order, range splitting, and flat arrays indexed by
-rank.  unrank decodes one code; enumerate_group decodes none per element: it
-joins head words (c_1..c_k) to tail words (c_{k+1}..c_n), both tabulated
-from the decoder once per call (_unrank_tables).  Supported ranks: A up to
-9, B up to 8, D from 2 up to 8; anything larger is refused outright rather
-than truncated.
+The signed Lehmer code (on A the Lehmer code) gives every element a rank
+in a mixed-radix numeral system: code entry c_i is a digit, c_1 the least
+significant.  Rank order is therefore the product order of the entries'
+value lists with c_n outermost, which supports deterministic order, range
+splitting, and flat arrays indexed by rank.  D is the even half of B: its
+c_1 carries no digit, since place 1 takes the sign that makes the bars
+even, so D's rank is B's rank halved.  unrank decodes one code;
+enumerate_group decodes none per element: it joins head words (places
+1..k, fixed by c_1..c_k) to tail words (places k+1..n, fixed by
+c_{k+1}..c_n), both tabulated from the decoder once per call
+(_unrank_tables).  Supported ranks: A up to 9, B up to 8, D from 2 up to 8;
+anything larger is refused outright rather than truncated.
 
 Public ``rank`` validates its input (length n, a member of the group) and
 ranks with the unchecked core ``_ranker``.  The BFS behind the oracle tables
 ranks by two lookups (``_rank_tables``) read off the unrank tables, so rank
-and unrank share one head/tail split.  It walks the word that split cuts, s
-in A and B and s^-1 in D (_HEAD_IS_LETTERS), by w -> g^-1 w; a depth is the
-word length of s, in A and B because every generating set is closed under
+and unrank share one head/tail split, and walks s by s -> g^-1 s; a depth
+is the word length of s because every generating set is closed under
 inversion.  The oracles read the distance table in rank order beside the
 enumeration, and the transport check proves bijectivity by membership and
 the stored inverse, so neither ranks anything on its passing path; a
@@ -123,12 +124,24 @@ def _code_values(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     return ((1,),) + values[1:] if family == "D" else values
 
 
-# Membership tests for rank's boundary, and the unchecked cores of each
-# family's ranking code (the signed Lehmer code, which on A is the Lehmer
-# code, and the deletion code).  unrank and the unrank tables decode codes
-# they build from the entry value lists, so valid by construction; the rank
-# core encodes members only.  Bound once at import, so that a cached ranker
-# keeps these very functions whatever is later put on the module attributes.
+def _lehmer_d_decode(c: tuple[int, ...]) -> tuple[int, ...]:
+    """The member of D whose signed Lehmer code is c up to the sign of c_1:
+    place 1 takes whichever sign makes the number of bars even, so D's rank
+    is B's rank halved.
+
+    >>> [unrank("D", 3, r) for r in range(4)]
+    [(3, 2, 1), (2, 3, 1), (-3, -2, 1), (-2, -3, 1)]
+    """
+    s = perm_b._lehmer_b_decode(c)
+    return (-s[0],) + s[1:] if perm_b.neg_count(s) % 2 else s
+
+
+# Membership tests for rank's boundary, and the unchecked cores of the
+# ranking code, the signed Lehmer code in every family (on A the Lehmer
+# code).  unrank and the unrank tables decode codes they build from the
+# entry value lists, so valid by construction; the rank core encodes members
+# only.  Bound once at import, so that a cached ranker keeps these very
+# functions whatever is later put on the module attributes.
 _MEMBERS = {
     "A": perm_a.is_permutation,
     "B": perm_b.is_signed_permutation,
@@ -137,13 +150,9 @@ _MEMBERS = {
 _DECODERS = {
     "A": perm_b._lehmer_b_decode,
     "B": perm_b._lehmer_b_decode,
-    "D": partial(perm_b._acode_b_decode, even=True),
+    "D": _lehmer_d_decode,
 }
-_ENCODERS = {
-    "A": perm_b.lehmer_b_encode,
-    "B": perm_b.lehmer_b_encode,
-    "D": perm_d._ecode_encode,
-}
+_encode = perm_b.lehmer_b_encode
 
 
 @lru_cache(maxsize=None)
@@ -153,13 +162,13 @@ def _ranker(family: str, n: int) -> Callable[[Sequence[int]], int]:
     The ranking code is a mixed-radix numeral: entry c_i is the digit
     c_i - 1 when positive and i - c_i - 1 when barred (its index in
     _code_values), in the place whose value is the product of the radices of
-    c_1..c_{i-1}.  D's c_1 = 1 has radix 1, so no family needs a branch.
-    Each entry's digit times its place value is tabulated by entry value (a
-    barred value indexes from the end of a table twice the radix long, so the
-    two ends never meet), and the rank is the sum of the looked-up terms.
-    Anything but a member gives a meaningless rank or an exception.
+    c_1..c_{i-1}.  D's c_1 has radix 1, and its table maps both 1 and -1 to
+    0, so no family needs a branch.  Each entry's digit times its place value
+    is tabulated by entry value (a barred value indexes from the end of a
+    table twice the radix long, so the two ends never meet), and the rank is
+    the sum of the looked-up terms.  Anything but a member gives a
+    meaningless rank or an exception.
     """
-    encode = _ENCODERS[family]
     tables = []
     place = 1
     for values in _code_values(family, n):
@@ -170,46 +179,27 @@ def _ranker(family: str, n: int) -> Callable[[Sequence[int]], int]:
         place *= len(values)
 
     def core(element: Sequence[int]) -> int:
-        return sum(map(getitem, tables, encode(element)))
+        return sum(map(getitem, tables, _encode(element)))
 
     return core
 
 
-# Which entries of a decoded element the head code c_1..c_k fixes, once the
-# tail c_{k+1}..c_n is known: the signed Lehmer code of A and B fills the
-# places from the right, so the head fixes places 1..k; the E-code of D
-# inserts letter i at place |c_i|, so the head fixes letters 1..k, in their
-# order in the element, and the tail decides where they go.
-_HEAD_IS_LETTERS = {"A": False, "B": False, "D": True}
-
-
 def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
-    """Rank by two table lookups on a word w: (k, head, tail).
+    """Rank by two table lookups on a member s: (k, head, tail).
 
-    The rank of a member s is head[w[:k]] + tail[w[k:]], read off
-    _unrank_tables with its k = (n + 1) // 2.  In A and B the head fixes
-    places, so w is s itself; in D it fixes letters, so w is the inverse of s,
-    whose first k entries are the signed places of letters 1..k.  The element
-    of rank i * size + j is head word j of tail i joined to that tail, so
-    tail i's entry, the w[k:] of any of its elements, is i * size, and a
+    The rank of s is head[s[:k]] + tail[s[k:]], read off _unrank_tables with
+    its k = (n + 1) // 2.  The element of rank i * size + j is head word j
+    of tail i joined to that tail, so tail i's entry is i * size, and a
     head's entry is its index j, the same for every tail that shares its head
-    list and pick.
+    list.
     """
     size, tails = _unrank_tables(family, n)
     k = len(tails[0][1][0])  # a head word has the split's k letters
-    letters = _HEAD_IS_LETTERS[family]
-
-    def word(h, fixed, pick):
-        element = h + fixed if pick is None else pick(h + fixed)
-        return perm_b.inverse(element) if letters else element
-
-    head, tail, read = {}, {}, set()
-    for i, (fixed, heads, pick) in enumerate(tails):
-        tail[word(heads[0], fixed, pick)[k:]] = i * size
-        if (pick, id(heads)) not in read:
-            read.add((pick, id(heads)))
-            for j, h in enumerate(heads):
-                head[word(h, fixed, pick)[:k]] = j
+    head, tail = {}, {}
+    for i, (fixed, heads) in enumerate(tails):
+        tail[fixed] = i * size
+        if heads[0] not in head:  # no head word is in two lists
+            head.update(zip(heads, range(size)))
     return k, head, tail
 
 
@@ -217,22 +207,20 @@ def _unrank_tables(family: str, n: int) -> tuple[int, list]:
     """Unrank by concatenation: (heads per tail, tails in rank order).
 
     With k = (n + 1) // 2, a code splits into its head c_1..c_k, the least
-    significant entries, and its tail c_{k+1}..c_n, so the element of rank r
-    is that of head r % size joined to tail r // size.  Each tail entry is
-    (fixed, heads, pick): fixed is what the tail decodes to, heads the head
-    words of every head code in rank order, and pick, when not None, the
-    itemgetter that puts head + fixed into place order (in A and B the head
-    is places 1..k, so the element is head + fixed).  The head words depend
-    on the tail only through the head word of the first head code (the value
-    set of places 1..k in A and B, and in D the parity of the tail's flips
-    of the first letter), so one list serves every tail with that word.  All
-    of it is read off _DECODERS[family]: one decode per tail, and one per
-    head code for the first tail that reaches each list.
+    significant entries, and its tail c_{k+1}..c_n.  The signed Lehmer code
+    fills places from the right, so the tail fixes places k+1..n and the
+    head places 1..k: the element of rank r is head word r % size joined to
+    tail r // size.  Each tail entry is (fixed, heads): fixed is what the
+    tail decodes to, heads the head words of every head code in rank order.
+    The head words depend on the tail only through the head word of the
+    first head code (the value set of places 1..k, and in D the sign of
+    place 1), so one list serves every tail with that word.  All of it is
+    read off _DECODERS[family]: one decode per tail, and one per head code
+    for the first tail that reaches each list.
     """
     decode = _DECODERS[family]
     values = _code_values(family, n)
     k = (n + 1) // 2
-    letters = _HEAD_IS_LETTERS[family]
 
     def codes(entry_values):
         # product() varies its last factor fastest, so with the entry lists
@@ -241,22 +229,13 @@ def _unrank_tables(family: str, n: int) -> tuple[int, list]:
 
     head_codes = codes(values[:k])
     lists: dict[tuple, list] = {}
-    splits: dict[tuple, tuple] = {}  # head places -> (tail places, pick)
     tails = []
     for t in codes(values[k:]):
         element = decode(head_codes[0] + t)
-        at = tuple(
-            p for p, x in enumerate(element) if (abs(x) if letters else p + 1) <= k
-        )
-        if at not in splits:
-            rest = tuple(p for p in range(n) if p not in at)
-            place = sorted(range(n), key=(at + rest).__getitem__)
-            splits[at] = rest, None if place == list(range(n)) else itemgetter(*place)
-        rest, pick = splits[at]
-        key = tuple(map(element.__getitem__, at))
+        key = element[:k]
         if key not in lists:
-            lists[key] = [tuple(map(decode(h + t).__getitem__, at)) for h in head_codes]
-        tails.append((tuple(map(element.__getitem__, rest)), lists[key], pick))
+            lists[key] = [decode(h + t)[:k] for h in head_codes]
+        tails.append((element[k:], lists[key]))
     return len(head_codes), tails
 
 
@@ -307,12 +286,11 @@ def enumerate_group(
         raise ValueError(f"bad range [{start}, {stop}) for order {order}")
     size, tails = _unrank_tables(family, n)
     for i in range(start // size, -(-stop // size)):
-        fixed, heads, pick = tails[i]
+        fixed, heads = tails[i]
         lo, hi = start - i * size, stop - i * size
         if lo > 0 or hi < size:  # the range starts or ends inside this tail
             heads = heads[max(lo, 0):hi]
-        words = map(add, heads, itertools.repeat(fixed))
-        yield from words if pick is None else map(pick, words)
+        yield from map(add, heads, itertools.repeat(fixed))
 
 
 # registry order is the order `coxcodes stats` prints, integer then set
@@ -691,18 +669,16 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
     """Distances from the identity in the Cayley graph, indexed by rank.
 
     Breadth-first search over the whole group; refuses orders above
-    100000 elements.  The search walks the word w that _rank_tables ranks,
-    s in A and B and s^-1 in D, and a step by g maps each letter x of w to
-    g^-1(x): one lookup in a table of g^-1 indexed by signed letter (a
-    barred letter indexes from the end), all n read at once by an itemgetter
-    over w.  Each image is ranked by its two halves, so no element is
-    composed or encoded per edge.  In D a step takes s to s g, so a depth is
-    the word length of s; in A and B it takes s to g^-1 s, and a depth is
-    the word length over the generators' inverses, the same because every
-    generating set is closed under inversion.  Distances are kept in a
-    rank-indexed bytearray (255 = not reached yet), which holds the
-    diameters of every group the limit admits (at most n^2 = 36, for S^B on
-    B6).
+    100000 elements.  A step by g takes s to g^-1 s: each letter x of s
+    maps to g^-1(x), one lookup in a table of g^-1 indexed by signed letter
+    (a barred letter indexes from the end), all n read at once by an
+    itemgetter over s.  Each image is ranked by its two halves
+    (_rank_tables), so no element is composed or encoded per edge.  A depth
+    is the word length over the generators' inverses, the same as over the
+    generators because every generating set is closed under inversion.
+    Distances are kept in a rank-indexed bytearray (255 = not reached yet),
+    which holds the diameters of every group the limit admits (at most
+    n^2 = 36, for S^B on B6).
     """
     order = group_order(family, n)
     if order > _BFS_LIMIT:
@@ -713,8 +689,8 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
     moves = []
     for g in generating_set(family, n, set_name):
         sub = [0] * (2 * n + 1)
-        for x, y in enumerate(perm_b.inverse(g), 1):
-            sub[x], sub[-x] = y, -y
+        for x, y in enumerate(g, 1):  # g(x) = y, so g^-1 takes y to x
+            sub[y], sub[-y] = x, -x
         moves.append(sub)
     # one itemgetter per frontier word reads its image out of each move's
     # table; with one index an itemgetter returns a bare value, not a tuple

@@ -50,10 +50,7 @@ __all__ = [
 
 def is_even_signed(images: Sequence[int]) -> bool:
     """True for a signed permutation with an even number of bars."""
-    return (
-        perm_b.is_signed_permutation(images)
-        and sum(1 for v in images if v < 0) % 2 == 0
-    )
+    return perm_b.is_signed_permutation(images) and neg_count(images) % 2 == 0
 
 
 def validate_even_signed(images: Iterable[int]) -> SignedPerm:

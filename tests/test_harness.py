@@ -78,8 +78,8 @@ def test_rank_rejects_wrong_length_and_non_members():
 
 def test_ranker_core_matches_enumeration_order():
     # the rank of an element is, by definition, its index in enumerate_group;
-    # the rank tables give it too, from the halves of the word the BFS walks:
-    # the element in A and B, its inverse in D; on every group the BFS admits
+    # the rank tables give it too, from the element's two halves, on every
+    # group the BFS admits
     groups = [
         (family, n) for family, top in (("A", 8), ("B", 6), ("D", 6))
         for n in range(harness._MIN_N[family], top + 1)
@@ -91,9 +91,7 @@ def test_ranker_core_matches_enumeration_order():
         assert ranks == list(range(harness.group_order(family, n)))
         k, head, tail = harness._rank_tables(family, n)
         assert k == (n + 1) // 2
-        if harness._HEAD_IS_LETTERS[family]:
-            elements = map(perm_b.inverse, elements)
-        assert [head[w[:k]] + tail[w[k:]] for w in elements] == ranks
+        assert [head[s[:k]] + tail[s[k:]] for s in elements] == ranks
 
 
 def test_enumerate_group_slicing():
@@ -154,6 +152,29 @@ def test_unrank_tables_match_the_decoder_on_the_largest_groups():
         assert_enumeration_is_unrank(family, n)
 
 
+def assert_d_is_the_even_half_of_b(n):
+    """B's ranks 2r and 2r + 1 differ in the sign of place 1 alone, so
+    exactly one of them is even-signed, and it is D's element of rank r."""
+    for r in range(harness.group_order("D", n)):
+        pair = [harness.unrank("B", n, 2 * r + i) for i in (0, 1)]
+        even = [s for s in pair if perm_d.is_even_signed(s)]
+        assert even == [harness.unrank("D", n, r)], (n, r)
+        assert harness.rank("D", n, even[0]) == r == harness.rank("B", n, even[0]) // 2
+
+
+def test_d_rank_is_b_rank_halved():
+    for n in range(2, 7):
+        assert_d_is_the_even_half_of_b(n)
+
+
+@pytest.mark.skipif(
+    os.environ.get("COXCODES_ACCEPT_B7") != "1",
+    reason="set COXCODES_ACCEPT_B7=1 to rank all of D7 in D and B",
+)
+def test_d_rank_is_b_rank_halved_on_d7():
+    assert_d_is_the_even_half_of_b(7)
+
+
 def test_corrupted_head_word_is_caught(monkeypatch):
     unrank_tables = harness._unrank_tables
 
@@ -161,10 +182,10 @@ def test_corrupted_head_word_is_caught(monkeypatch):
         # the last tail's list of head words, with its first word repeated
         # over its last, in a copy of the tables
         size, tails = unrank_tables(family, n)
-        fixed, heads, pick = tails[-1]
+        fixed, heads = tails[-1]
         heads = list(heads)
         heads[-1] = heads[0]
-        return size, tails[:-1] + [(fixed, heads, pick)]
+        return size, tails[:-1] + [(fixed, heads)]
 
     monkeypatch.setattr(harness, "_unrank_tables", corrupted)
     for family, n in (("A", 4), ("B", 3), ("D", 4)):
@@ -340,25 +361,39 @@ def test_formula_over_counting_everywhere_gives_no_witness(monkeypatch):
     }
 
 
-_PARENT_REPORTS_SHA256 = (
-    "ff289bf256d1a65c5a1cff01bba8df0dfa9cea0420aa9083e67346a8df3597af"
-)
-
-
-def test_distribution_reports_keep_their_bytes():
-    # one hash pins the JSON of every report of the eight checks other than
-    # the triples, for every n up to A7, B5 and D6 with 1 and 2 workers
+def reports_sha256(names):
+    """One hash of the JSON of every report of the named checks, for every n
+    up to A7, B5 and D6 with 1 and 2 workers."""
     digest = hashlib.sha256()
-    for name in ("type-a-gf", "type-a-set-pairs", "type-a-four-pairs",
-                 "type-b-gf", "type-b-set-pairs", "type-b-four-pairs",
-                 "type-d-bivariate", "type-d-mahonian"):
+    for name in names:
         family = harness.run_check(name, 3).family
         top = {"A": 7, "B": 5, "D": 6}[family]
         for n in range(harness._MIN_N[family], top + 1):
             for workers in (1, 2):
                 report = harness.run_check(name, n, workers).to_dict()
                 digest.update(json.dumps(report).encode())
-    assert digest.hexdigest() == _PARENT_REPORTS_SHA256
+    return digest.hexdigest()
+
+
+def test_distribution_reports_keep_their_bytes():
+    # the eight distribution checks other than the triples
+    assert reports_sha256((
+        "type-a-gf", "type-a-set-pairs", "type-a-four-pairs",
+        "type-b-gf", "type-b-set-pairs", "type-b-four-pairs",
+        "type-d-bivariate", "type-d-mahonian",
+    )) == "ff289bf256d1a65c5a1cff01bba8df0dfa9cea0420aa9083e67346a8df3597af"
+
+
+def test_pointwise_reports_keep_their_bytes():
+    # the eleven pointwise checks in name order, so that no change of
+    # enumeration order leaks into checked or details
+    assert reports_sha256((
+        "codes-a", "codes-b", "codes-d",
+        "oracle-length-b", "oracle-length-d",
+        "oracle-reflection-length-b", "oracle-reflection-length-d",
+        "type-a-transport", "type-b-transport",
+        "type-d-sor-prime", "type-d-transport",
+    )) == "fff56fc871c2e4fa89a293819e05ecc103ab83f32a64cb8a0e8b1105c7689c1a"
 
 
 def test_joint_distribution_anchor():
@@ -581,7 +616,7 @@ def test_image_of_a_later_element_is_an_inverse_mismatch(monkeypatch):
 @pytest.mark.parametrize("bijection, n, r, image", [
     ("phi", 3, 2, (2, 1)),  # a permutation, but of the wrong length
     ("psi", 4, 7, (2, -2, 3, 4)),  # the rank core gives it a member's rank
-    ("rho", 3, 5, (1, 1, 1)),  # the E-code core raises on it
+    ("rho", 3, 5, (1, 1, 1)),  # the rank core gives it rank 0, that of (3, 2, 1)
 ])
 def test_non_member_image_is_caught(monkeypatch, bijection, n, r, image):
     family, func, func_inverse, int_pairs, set_pairs = harness.BIJECTIONS[bijection]
