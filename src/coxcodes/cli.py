@@ -94,12 +94,8 @@ def _fmt_word(values) -> str:
 
 def _stats_record(family: str, el: tuple[int, ...]) -> dict:
     """Every statistic of the element, integer then set, in registry order."""
-    record = {}
-    for key, stat in harness.INTEGER_STATISTICS[family].items():
-        record[key] = stat(el)
-    for key, stat in harness.SET_STATISTICS[family].items():
-        record[key] = sorted(stat(el))
-    return record
+    stats = harness.INTEGER_STATISTICS[family] | harness.SET_STATISTICS[family]
+    return {key: harness._plain(stat(el)) for key, stat in stats.items()}
 
 
 def cmd_stats(args) -> int:
@@ -168,9 +164,9 @@ def cmd_map(args) -> int:
     image_stats: dict = {}
     for a, b, fa, fb in harness._transport_pairs(args.bijection):
         if args.inverse:
-            source_stats[b], image_stats[a] = fb(el), fa(image)
-        else:
-            source_stats[a], image_stats[b] = fa(el), fb(image)
+            a, b, fa, fb = b, a, fb, fa
+        source_stats[a] = harness._plain(fa(el))
+        image_stats[b] = harness._plain(fb(image))
     doc = _document(
         family,
         len(el),
@@ -186,6 +182,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.family is not None:
+        raise ValueError("verify takes no --family; the check fixes its family")
     if args.n is None:
         raise ValueError("verify needs --n")
     report = harness.run_check(args.check, args.n, workers=args.parallel)
@@ -322,6 +320,7 @@ def main(argv=None) -> int:
         joined = " ".join(extra)
         args.payload = f"{args.payload} {joined}" if args.payload else joined
     try:
+        harness._check_workers(args.parallel)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -399,7 +399,8 @@ def sweep(family: str, n: int, names: Sequence[str], workers: int = 1) -> Counte
 
     names is a sequence, such as a list or tuple, and orders every key.  The
     group is enumerated once and each named statistic (integer or set) is
-    evaluated once per element; set values are stored as sorted tuples.
+    evaluated once per element; a set value is the increasing tuple its
+    kernel returns.
     With workers > 1 the rank range is split into one chunk per worker
     process, with no more processes than os.cpu_count() reports, and the
     chunks' counts are added; addition is associative and commutative, so
@@ -464,15 +465,15 @@ def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
 
 
 def _columns(family, names, block) -> list[list]:
-    """Each named statistic's values on the block, sets as sorted tuples."""
-    columns = []
-    for name in names:
-        if name in SET_STATISTICS[family]:
-            values = map(SET_STATISTICS[family][name], block)
-            columns.append(list(map(tuple, map(sorted, values))))
-        else:
-            columns.append(list(map(INTEGER_STATISTICS[family][name], block)))
-    return columns
+    """Each named statistic's values on the block, a set value as the
+    increasing tuple its kernel returns."""
+    stats = INTEGER_STATISTICS[family] | SET_STATISTICS[family]
+    return [list(map(stats[name], block)) for name in names]
+
+
+def _plain(value):
+    """A statistic value in its report form: a set value's tuple as a list."""
+    return list(value) if isinstance(value, tuple) else value
 
 
 def joint_distribution(
@@ -559,17 +560,10 @@ BIJECTIONS: dict[str, tuple] = {
 def _transport_pairs(bijection: str) -> list[tuple]:
     """The bijection's statistic pairs as (source name, image name, source
     function, image function), integer pairs first; the functions of a set
-    pair return sorted lists."""
+    pair return increasing tuples."""
     family, _, _, int_pairs, set_pairs = BIJECTIONS[bijection]
-
-    def sorted_values(name):
-        stat = set_statistic(family, name)[1]
-        return lambda w: sorted(stat(w))
-
-    return [
-        (a, b, integer_statistic(family, a)[1], integer_statistic(family, b)[1])
-        for a, b in int_pairs
-    ] + [(a, b, sorted_values(a), sorted_values(b)) for a, b in set_pairs]
+    stats = INTEGER_STATISTICS[family] | SET_STATISTICS[family]
+    return [(a, b, stats[a], stats[b]) for a, b in int_pairs + set_pairs]
 
 
 def verify_transport(bijection: str, n: int) -> VerifyReport:
@@ -609,7 +603,8 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
                 va, vb = fa(el), fb(image)
                 if va != vb:
                     fault = {"statistic": f"{a} -> {b}",
-                             "source_value": va, "image_value": vb}
+                             "source_value": _plain(va),
+                             "image_value": _plain(vb)}
                     break
             else:
                 return None
@@ -764,7 +759,7 @@ def _check_joint(family, groups, n, workers=1, formula=None):
             key = min(differ, key=lambda k: (count[k] < expected[k], k))
             counterexample = {
                 "groups": [list(g), formula or list(groups[0])],
-                "key": [list(v) if isinstance(v, tuple) else v for v in key],
+                "key": [_plain(v) for v in key],
                 "count": count[key], "expected": expected[key],
                 **_witness(family, n, g, key),
             }

@@ -109,9 +109,10 @@ def cycles(s: Perm) -> tuple[tuple[int, ...], ...]:
     return tuple(c.values for c in perm_b.signed_cycle_decomposition(s))
 
 
-def max_set(code: Sequence[int]) -> frozenset[int]:
-    """Places i where the code entry equals i (the fixed entries)."""
-    return frozenset(i for i, c in enumerate(code, 1) if c == i)
+def max_set(code: Sequence[int]) -> tuple[int, ...]:
+    """Places i where the code entry equals i (the fixed entries), in
+    increasing order."""
+    return tuple(i for i, c in enumerate(code, 1) if c == i)
 
 
 def validate_code(code: Iterable[int]) -> Code:

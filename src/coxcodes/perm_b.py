@@ -351,9 +351,9 @@ def cyc_b(s: SignedPerm) -> int:
     return len(_balanced_minima(s))
 
 
-def cyc_b_set(s: SignedPerm) -> frozenset[int]:
-    """Minima of the balanced cycles."""
-    return frozenset(_balanced_minima(s))
+def cyc_b_set(s: SignedPerm) -> tuple[int, ...]:
+    """Minima of the balanced cycles, in increasing order."""
+    return tuple(_balanced_minima(s))
 
 
 def reflection_length_b(s: SignedPerm) -> int:
@@ -361,32 +361,35 @@ def reflection_length_b(s: SignedPerm) -> int:
     return len(s) - cyc_b(s)
 
 
-def lmap_b_set(word: Sequence[int]) -> frozenset[int]:
-    """Places i whose letter exceeds the absolute value of every earlier letter.
+def lmap_b_set(word: Sequence[int]) -> tuple[int, ...]:
+    """Places i whose letter exceeds the absolute value of every earlier letter,
+    in increasing order.
 
     The letter must be positive; with nothing to the left that means > 0.
     Defined on arbitrary nonzero-integer words so it applies to codes.
     """
-    out = set()
+    out = []
     high = 0
     for i, x in enumerate(word, 1):
         if x > high:
-            out.add(i)
+            out.append(i)
         if abs(x) > high:
             high = abs(x)
-    return frozenset(out)
+    return tuple(out)
 
 
-def rmil_b_set(word: Sequence[int]) -> frozenset[int]:
-    """Positive letters smaller in absolute value than every later letter."""
-    out = set()
+def rmil_b_set(word: Sequence[int]) -> tuple[int, ...]:
+    """Positive letters smaller in absolute value than every later letter, in
+    increasing order."""
+    out = []  # read right to left, each letter found is below the last
     low = None
     for x in reversed(word):
         if x > 0 and (low is None or x < low):
-            out.add(x)
+            out.append(x)
         if low is None or abs(x) < low:
             low = abs(x)
-    return frozenset(out)
+    out.reverse()
+    return tuple(out)
 
 
 def rl_min_b(word: Sequence[int]) -> int:

@@ -166,6 +166,18 @@ def test_verify_requires_n(capsys):
     assert code == 2 and "needs --n" in err
 
 
+def test_verify_refuses_family(capsys):
+    # the check names its family; a --family would be silently ignored
+    for family in ("A", "B"):
+        code, out, err = run_cli(
+            capsys, ["verify", "type-a-gf", "--family", family, "--n", "3"]
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: verify takes no --family; the check fixes its family\n"
+        )
+
+
 def test_verify_parallel_matches(capsys):
     argv = ["verify", "type-b-gf", "--n", "3"]
     _, seq, _ = run_cli(capsys, argv)
@@ -184,6 +196,17 @@ def test_bad_parallel_is_a_usage_error(capsys):
             ["table", "inv", "sor", "--family", "A", "--n", "3", "--parallel", workers],
         )
         assert code == 2 and out == ""
+        # the commands that never sweep refuse it too
+        for argv in (
+            ["stats", "--family", "A", "2 1 3"],
+            ["code", "encode", "lehmer", "--family", "A", "1 2"],
+            ["map", "phi", "2 1 3"],
+        ):
+            code, out, err = run_cli(capsys, argv + ["--parallel", workers])
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: workers must be a positive integer, got {int(workers)}\n"
+            )
 
 
 def test_cli_import_leaves_process_pool_unloaded():

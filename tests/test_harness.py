@@ -330,7 +330,7 @@ def test_every_distribution_check_can_fail(monkeypatch, name, n, stat):
         f = harness.SET_STATISTICS[family][stat]
         monkeypatch.setitem(
             harness.SET_STATISTICS[family], stat,
-            lambda s: f(s) ^ {1} if s == target else f(s),
+            lambda s: tuple(sorted(set(f(s)) ^ {1})) if s == target else f(s),
         )
     report = harness.run_check(name, n)
     assert not report.passed
@@ -346,6 +346,25 @@ def test_every_distribution_check_can_fail(monkeypatch, name, n, stat):
     assert harness._columns(family, group, [tuple(ce["element"])]) == [
         [v] for v in key
     ]
+
+
+def test_unsorted_set_value_is_caught(monkeypatch):
+    # set values are compared as the kernels' tuples, so a kernel that gives
+    # one element's members out of order falsifies the check
+    cyc_b = harness.SET_STATISTICS["B"]["Cyc_B"]
+    target = (2, 1, 3)  # balanced cycles (1 2) and (3)
+    assert cyc_b(target) == (1, 3)
+    monkeypatch.setitem(
+        harness.SET_STATISTICS["B"], "Cyc_B",
+        lambda s: cyc_b(s)[::-1] if s == target else cyc_b(s),
+    )
+    report = harness.run_check("type-b-set-pairs", 3)
+    assert not report.passed
+    assert report.counterexample == {
+        "groups": [["Lmap_B", "Cyc_B"], ["Cyc_B", "Lmap_B"]],
+        "key": [[1, 3], [3, 1]], "count": 1, "expected": 0,
+        "rank": 16, "element": [2, 1, 3],
+    }
 
 
 def test_formula_over_counting_everywhere_gives_no_witness(monkeypatch):
@@ -382,6 +401,26 @@ def test_distribution_reports_keep_their_bytes():
         "type-b-gf", "type-b-set-pairs", "type-b-four-pairs",
         "type-d-bivariate", "type-d-mahonian",
     )) == "ff289bf256d1a65c5a1cff01bba8df0dfa9cea0420aa9083e67346a8df3597af"
+
+
+def test_triples_reports_keep_their_bytes():
+    assert reports_sha256(("type-a-triples", "type-b-triples")) == (
+        "e4fe40cdbd41b01ab632faba5a558c91af0d84c55daf4228f116725bf491daf2"
+    )
+
+
+def test_set_statistic_sweeps_keep_their_values():
+    # passing reports carry no set values, so this pins each kernel's
+    # canonical form: the sweep of all set statistics, A1-A7 then B1-B5
+    digest = hashlib.sha256()
+    for family, top in (("A", 7), ("B", 5)):
+        for n in range(1, top + 1):
+            names = list(harness.SET_STATISTICS[family])
+            counts = harness.sweep(family, n, names)
+            digest.update(repr(sorted(counts.items())).encode())
+    assert digest.hexdigest() == (
+        "4b3aa693f03042cc10bae68e3782179fd1bc0e58e9e2bd2d8364cbf4addbdb7d"
+    )
 
 
 def test_pointwise_reports_keep_their_bytes():
@@ -825,7 +864,7 @@ def test_transport_statistic_mismatch_keeps_the_image(monkeypatch):
     image = (-2, -1, 3)  # the image of (-2, 1, 3), rank 17
     monkeypatch.setitem(
         harness.SET_STATISTICS["B"], "Cyc_B",
-        lambda w: cyc_b(w) | {9} if w == image else cyc_b(w),
+        lambda w: cyc_b(w) + (9,) if w == image else cyc_b(w),
     )
     report = harness.run_check("type-b-transport", 3)
     assert not report.passed and report.checked == 18

@@ -146,15 +146,15 @@ def test_kernels_match_reference_definitions_exhaustive():
         for s in all_perms(n):
             assert perm_a.inv(s) == reference_inv(s)
             assert perm_a.lehmer_encode(s) == reference_lehmer(s)
-            assert perm_a.rmil_set(s) == reference_rmil(s)
-            assert perm_a.lmap_set(s) == reference_lmap(s)
+            assert perm_a.rmil_set(s) == tuple(sorted(reference_rmil(s)))
+            assert perm_a.lmap_set(s) == tuple(sorted(reference_lmap(s)))
             assert perm_a.rl_min(s) == reference_rl_min(s)
             assert perm_a.lr_max(s) == reference_lr_max(s)
             assert perm_a.nmin(s) == reference_nmin(s)
             cycles = reference_cycles(s)
             assert perm_a.cycles(s) == cycles
             assert perm_a.cyc(s) == len(cycles)
-            assert perm_a.cyc_set(s) == {c[0] for c in cycles}
+            assert perm_a.cyc_set(s) == tuple(c[0] for c in cycles)
             factors = reference_sort_factors(s)
             assert perm_a.sort_factorization(s) == factors
             assert perm_a.sor(s) == sum(j - i for i, j in factors)
@@ -166,8 +166,8 @@ def test_word_statistics_match_reference_definitions_on_codes():
     # codes repeat letters; the paper reads Rmil and Lmap off them
     for n in range(1, 7):
         for code in itertools.product(*(range(1, i + 1) for i in range(1, n + 1))):
-            assert perm_a.rmil_set(code) == reference_rmil(code)
-            assert perm_a.lmap_set(code) == reference_lmap(code)
+            assert perm_a.rmil_set(code) == tuple(sorted(reference_rmil(code)))
+            assert perm_a.lmap_set(code) == tuple(sorted(reference_lmap(code)))
             assert perm_a.rl_min(code) == reference_rl_min(code)
             assert perm_a.lr_max(code) == reference_lr_max(code)
 

@@ -50,6 +50,36 @@ def reference_lehmer_b(s):
     return tuple(out)
 
 
+def reference_cyc_b(s):
+    """Minima of the cycles of |s| that hold an even number of barred values;
+    v is barred when -v occurs in s."""
+    barred = {-x for x in s if x < 0}
+    out = set()
+    for i in range(1, len(s) + 1):
+        orbit = [i]
+        while abs(s[orbit[-1] - 1]) != i:
+            orbit.append(abs(s[orbit[-1] - 1]))
+        if min(orbit) == i and len(barred.intersection(orbit)) % 2 == 0:
+            out.add(i)
+    return out
+
+
+def reference_lmap_b(w):
+    """Places i whose letter exceeds the absolute value of every earlier
+    letter, and 0 when there is none."""
+    return {
+        i for i in range(1, len(w) + 1)
+        if w[i - 1] > max((abs(x) for x in w[:i - 1]), default=0)
+    }
+
+
+def reference_rmil_b(w):
+    """Positive letters smaller in absolute value than every later letter."""
+    return {
+        x for i, x in enumerate(w) if x > 0 and all(x < abs(y) for y in w[i + 1:])
+    }
+
+
 def recursive_bcode(s):
     """Independent oracle: peel the letter of largest magnitude, recurse.
 
@@ -215,8 +245,23 @@ def test_kernels_match_reference_definitions_exhaustive():
                 c.values[0] for c in perm_b.signed_cycle_decomposition(s) if c.balanced
             ]
             assert perm_b.cyc_b(s) == len(minima)
-            assert perm_b.cyc_b_set(s) == frozenset(minima)
+            assert perm_b.cyc_b_set(s) == tuple(minima)
             assert perm_b.reflection_length_b(s) == n - len(minima)
+
+
+def test_set_kernels_return_increasing_tuples_exhaustive():
+    # a tuple is canonical only because the kernel sorts: each must equal its
+    # definition's members in increasing order (a list or frozenset never
+    # equals a tuple)
+    kernels = [
+        (perm_b.cyc_b_set, reference_cyc_b),
+        (perm_b.lmap_b_set, reference_lmap_b),
+        (perm_b.rmil_b_set, reference_rmil_b),
+    ]
+    for n in range(1, 7):
+        for s in all_signed(n):
+            for kernel, reference in kernels:
+                assert kernel(s) == tuple(sorted(reference(s)))
 
 
 def test_set_statistics_golden():
