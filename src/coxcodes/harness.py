@@ -15,9 +15,10 @@ c_{k+1}..c_n), both tabulated from the decoder once per call
 anything larger is refused outright rather than truncated.
 
 Public ``rank`` validates its input (length n, a member of the group) and
-ranks with the unchecked core ``_ranker``.  The BFS behind the oracle tables
-ranks by two lookups (``_rank_tables``) read off the unrank tables, so rank
-and unrank share one head/tail split, and walks s by s -> g^-1 s; a depth
+ranks with the unchecked core ``_rank``, which reads the code's digits back
+as unrank writes them.  The BFS behind the oracle tables ranks by two
+lookups (``_rank_tables``) read off the unrank tables, so the tables rank
+and unrank by one head/tail split, and walks s by s -> g^-1 s; a depth
 is the word length of s because every generating set is closed under
 inversion.  The oracles read the distance table in rank order beside the
 enumeration, and the transport check proves bijectivity by membership and
@@ -48,7 +49,7 @@ import os
 from collections import Counter
 from functools import lru_cache, partial
 from math import prod
-from operator import add, getitem, itemgetter
+from operator import add, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from . import perm_a, perm_b, perm_d, qpoly
@@ -136,12 +137,10 @@ def _lehmer_d_decode(c: tuple[int, ...]) -> tuple[int, ...]:
     return (-s[0],) + s[1:] if perm_b.neg_count(s) % 2 else s
 
 
-# Membership tests for rank's boundary, and the unchecked cores of the
+# Membership tests for rank's boundary, and the unchecked decoders of the
 # ranking code, the signed Lehmer code in every family (on A the Lehmer
 # code).  unrank and the unrank tables decode codes they build from the
-# entry value lists, so valid by construction; the rank core encodes members
-# only.  Bound once at import, so that a cached ranker keeps these very
-# functions whatever is later put on the module attributes.
+# entry value lists, so valid by construction; _rank encodes members only.
 _MEMBERS = {
     "A": perm_a.is_permutation,
     "B": perm_b.is_signed_permutation,
@@ -152,36 +151,23 @@ _DECODERS = {
     "B": perm_b._lehmer_b_decode,
     "D": _lehmer_d_decode,
 }
-_encode = perm_b.lehmer_b_encode
 
 
-@lru_cache(maxsize=None)
-def _ranker(family: str, n: int) -> Callable[[Sequence[int]], int]:
-    """The unchecked rank of a member of the group, as a function.
+def _rank(family: str, n: int, element: Sequence[int]) -> int:
+    """The unchecked rank of a member of the group: unrank read backwards.
 
-    The ranking code is a mixed-radix numeral: entry c_i is the digit
-    c_i - 1 when positive and i - c_i - 1 when barred (its index in
-    _code_values), in the place whose value is the product of the radices of
-    c_1..c_{i-1}.  D's c_1 has radix 1, and its table maps both 1 and -1 to
-    0, so no family needs a branch.  Each entry's digit times its place value
-    is tabulated by entry value (a barred value indexes from the end of a
-    table twice the radix long, so the two ends never meet), and the rank is
-    the sum of the looked-up terms.  Anything but a member gives a
-    meaningless rank or an exception.
+    The signed Lehmer code is read as a mixed-radix numeral from c_n down to
+    c_1, entry c_i giving the digit of its index in _code_values.  An entry of
+    radix 1 (c_1 in A and D) has digit 0, so the sign that parity forces on
+    D's place 1 does not count.  Anything but a member gives a meaningless
+    rank or an exception.
     """
-    tables = []
-    place = 1
-    for values in _code_values(family, n):
-        table = [0] * (2 * len(values) + 1)
-        for digit, c in enumerate(values):
-            table[c] = digit * place
-        tables.append(table)
-        place *= len(values)
-
-    def core(element: Sequence[int]) -> int:
-        return sum(map(getitem, tables, _encode(element)))
-
-    return core
+    r = 0
+    code = perm_b.lehmer_b_encode(element)
+    for values, c in zip(reversed(_code_values(family, n)), reversed(code)):
+        if len(values) > 1:
+            r = r * len(values) + values.index(c)
+    return r
 
 
 def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
@@ -257,13 +243,13 @@ def rank(family: str, n: int, element: Sequence[int]) -> int:
 
     Raises ValueError unless the element has length n and belongs to the
     group.  This is the checked boundary; loops over elements they generated
-    themselves use the unchecked core _ranker(family, n).
+    themselves use the unchecked core _rank.
     """
     check_group(family, n)
     element = tuple(element)
     if len(element) != n or not _MEMBERS[family](element):
         raise ValueError(f"not an element of {family}{n}: {list(element)}")
-    return _ranker(family, n)(element)
+    return _rank(family, n, element)
 
 
 def enumerate_group(
@@ -584,7 +570,7 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
     group_order(family, n)  # refuse a bad n before mapping any element
     pairs = _transport_pairs(bijection)
     member = _MEMBERS[family]
-    rank_of = _ranker(family, n)
+    rank_of = partial(_rank, family, n)
 
     def case(el):
         image = func(el)

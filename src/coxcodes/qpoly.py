@@ -44,6 +44,8 @@ class QT:
         clean: dict[tuple[int, int], int] = {}
         if terms:
             for (qe, te), coeff in terms.items():
+                if type(qe) is not int or type(te) is not int or type(coeff) is not int:
+                    raise ValueError(f"non-integer term q^{qe!r}*t^{te!r}: {coeff!r}")
                 if qe < 0 or te < 0:
                     raise ValueError(f"negative exponent in term q^{qe}*t^{te}")
                 if coeff < 0:
@@ -157,8 +159,8 @@ def q_int(m: int) -> QT:
     >>> q_int(3).text()
     '1 + q + q^2'
     """
-    if m < 0:
-        raise ValueError(f"q-integer needs m >= 0, got {m}")
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
+        raise ValueError(f"q-integer needs an integer m >= 0, got {m!r}")
     return QT({(k, 0): 1 for k in range(m)})
 
 
@@ -168,8 +170,8 @@ def gf_type_a(n: int) -> QT:
     >>> gf_type_a(2).text()
     'q*t + t^2'
     """
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"rank must be an integer >= 1, got {n!r}")
     out = one()
     for i in range(1, n + 1):
         factor = QT({(k, 0): 1 for k in range(1, i)})
@@ -187,8 +189,8 @@ def gf_type_b(n: int) -> QT:
     >>> gf_type_b(1).text()
     '1 + q*t'
     """
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"rank must be an integer >= 1, got {n!r}")
     out = one()
     for i in range(1, n + 1):
         factor = one() + QT({(k, 1): 1 for k in range(1, 2 * i)})
@@ -202,8 +204,8 @@ def gf_type_d_bivariate(n: int) -> QT:
     >>> gf_type_d_bivariate(2).text()
     '1 + 2*q*t + q^2*t'
     """
-    if n < 2:
-        raise ValueError(f"rank must be >= 2, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise ValueError(f"rank must be an integer >= 2, got {n!r}")
     out = one()
     for r in range(1, n):
         factor = one() + monomial(q=r, t=1) + QT({(k, 1): 1 for k in range(1, 2 * r + 1)})
@@ -217,8 +219,8 @@ def gf_type_d_univariate(n: int) -> QT:
     >>> gf_type_d_univariate(2).text()
     '1 + 2*q + q^2'
     """
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"rank must be an integer >= 1, got {n!r}")
     out = q_int(n)
     for r in range(1, n):
         out = out * q_int(2 * r)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -85,7 +86,7 @@ def test_ranker_core_matches_enumeration_order():
         for n in range(harness._MIN_N[family], top + 1)
     ]
     for family, n in groups:
-        core = harness._ranker(family, n)
+        core = partial(harness._rank, family, n)
         elements = list(harness.enumerate_group(family, n))
         ranks = list(map(core, elements))
         assert ranks == list(range(harness.group_order(family, n)))
@@ -780,9 +781,10 @@ def test_check_registry_names():
 
 
 families_and_n = st.sampled_from(
-    [("A", n) for n in range(1, 6)]
-    + [("B", n) for n in range(1, 4)]
-    + [("D", n) for n in range(2, 4)]
+    [
+        (family, n) for family in harness.FAMILIES
+        for n in range(harness._MIN_N[family], harness._MAX_N[family] + 1)
+    ]
 )
 
 

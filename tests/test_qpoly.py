@@ -90,6 +90,23 @@ def test_gf_domains():
         qpoly.gf_type_d_univariate(0)
 
 
+@pytest.mark.parametrize(
+    "terms", [{(0, 0): 1.5}, {(1.5, 0): 1}, {(0, 2.0): 1}, {(True, 0): 2}, {(0, 0): True}]
+)
+def test_constructor_refuses_non_integers(terms):
+    with pytest.raises(ValueError, match="non-integer term"):
+        QT(terms)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", None])
+def test_formulas_refuse_non_integer_ranks(bad):
+    formulas = [qpoly.q_int, qpoly.gf_type_a, qpoly.gf_type_b,
+                qpoly.gf_type_d_bivariate, qpoly.gf_type_d_univariate]
+    for formula in formulas:
+        with pytest.raises(ValueError, match="integer"):
+            formula(bad)
+
+
 def test_univariate_is_t1_specialization():
     for n in range(2, 9):
         collapsed = qpoly.gf_type_d_bivariate(n).eval_t1()
