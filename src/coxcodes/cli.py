@@ -79,8 +79,6 @@ def _document(family, n, inputs, outputs, status="ok"):
 
 
 def _emit(doc, args, text_lines):
-    if args.format == "csv":
-        raise ValueError("csv format is only available for the table command")
     if args.format == "text":
         for line in text_lines:
             print(line)
@@ -321,6 +319,8 @@ def main(argv=None) -> int:
         args.payload = f"{args.payload} {joined}" if args.payload else joined
     try:
         harness._check_workers(args.parallel)
+        if args.format == "csv" and args.command != "table":
+            raise ValueError("csv format is only available for the table command")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,16 +15,13 @@ c_{k+1}..c_n), both tabulated from the decoder once per call
 anything larger is refused outright rather than truncated.
 
 Public ``rank`` validates its input (length n, a member of the group) and
-ranks with the unchecked core ``_rank``, which reads the code's digits back
-as unrank writes them.  The BFS behind the oracle tables ranks by two
-lookups (``_rank_tables``) read off the unrank tables, so the tables rank
-and unrank by one head/tail split, and walks s by s -> g^-1 s; a depth
-is the word length of s because every generating set is closed under
-inversion.  The oracles read the distance table in rank order beside the
-enumeration, and the transport check proves bijectivity by membership and
-the stored inverse, so neither ranks anything on its passing path; a
-transport failure ranks two members with the core to tell a duplicate
-image from a wrong inverse.
+reads the code's digits back as unrank writes them.  The BFS behind the
+oracle tables ranks by two lookups (``_rank_tables``) read off the unrank
+tables, so the tables rank and unrank by one head/tail split, and walks s
+by s -> g^-1 s; a depth is the word length of s because every generating
+set is closed under inversion.  No check ranks an element: the oracles
+read the distance table in rank order beside the enumeration, and the
+transport check proves bijectivity by membership and the stored inverse.
 
 Named checks (see CHECKS) re-prove the equidistribution and transport
 identities by direct evaluation on every element; their results are report
@@ -37,9 +34,9 @@ its ``count`` and ``expected``, and the ``rank`` and ``element`` of the
 lowest-rank element with that key.  Each pointwise check
 (transport, oracles, codes, type-d-sor-prime) runs one scan (_scan) over its
 cases, which stops at the first counterexample; there ``checked`` counts the
-cases taken.  The cases come in rank order, except that a codes check first
-walks every code in lexicographic order (c_1 outermost, c_n fastest, each
-entry in digit order) and only then every element in rank order.
+cases taken.  Each case is a function of its own rank, and the cases come in
+rank order; a codes check takes at rank r the code whose digits are r and
+then the element of rank r.
 """
 
 from __future__ import annotations
@@ -140,7 +137,7 @@ def _lehmer_d_decode(c: tuple[int, ...]) -> tuple[int, ...]:
 # Membership tests for rank's boundary, and the unchecked decoders of the
 # ranking code, the signed Lehmer code in every family (on A the Lehmer
 # code).  unrank and the unrank tables decode codes they build from the
-# entry value lists, so valid by construction; _rank encodes members only.
+# entry value lists, so valid by construction; rank encodes members only.
 _MEMBERS = {
     "A": perm_a.is_permutation,
     "B": perm_b.is_signed_permutation,
@@ -151,23 +148,6 @@ _DECODERS = {
     "B": perm_b._lehmer_b_decode,
     "D": _lehmer_d_decode,
 }
-
-
-def _rank(family: str, n: int, element: Sequence[int]) -> int:
-    """The unchecked rank of a member of the group: unrank read backwards.
-
-    The signed Lehmer code is read as a mixed-radix numeral from c_n down to
-    c_1, entry c_i giving the digit of its index in _code_values.  An entry of
-    radix 1 (c_1 in A and D) has digit 0, so the sign that parity forces on
-    D's place 1 does not count.  Anything but a member gives a meaningless
-    rank or an exception.
-    """
-    r = 0
-    code = perm_b.lehmer_b_encode(element)
-    for values, c in zip(reversed(_code_values(family, n)), reversed(code)):
-        if len(values) > 1:
-            r = r * len(values) + values.index(c)
-    return r
 
 
 def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
@@ -189,6 +169,14 @@ def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
     return k, head, tail
 
 
+def _codes(entry_values) -> Iterator[tuple[int, ...]]:
+    """Every code c_1..c_m over the entry value lists, in rank order."""
+    # product() varies its last factor fastest, so with the entry lists
+    # reversed it yields codes c_m..c_1 in rank order
+    for c in itertools.product(*reversed(entry_values)):
+        yield c[::-1]
+
+
 def _unrank_tables(family: str, n: int) -> tuple[int, list]:
     """Unrank by concatenation: (heads per tail, tails in rank order).
 
@@ -207,16 +195,10 @@ def _unrank_tables(family: str, n: int) -> tuple[int, list]:
     decode = _DECODERS[family]
     values = _code_values(family, n)
     k = (n + 1) // 2
-
-    def codes(entry_values):
-        # product() varies its last factor fastest, so with the entry lists
-        # reversed it yields codes c_m..c_1 in rank order
-        return [c[::-1] for c in itertools.product(*reversed(entry_values))]
-
-    head_codes = codes(values[:k])
+    head_codes = list(_codes(values[:k]))
     lists: dict[tuple, list] = {}
     tails = []
-    for t in codes(values[k:]):
+    for t in _codes(values[k:]):
         element = decode(head_codes[0] + t)
         key = element[:k]
         if key not in lists:
@@ -242,14 +224,21 @@ def rank(family: str, n: int, element: Sequence[int]) -> int:
     """Position of an element in the fixed enumeration order.
 
     Raises ValueError unless the element has length n and belongs to the
-    group.  This is the checked boundary; loops over elements they generated
-    themselves use the unchecked core _rank.
+    group.  unrank read backwards: the signed Lehmer code is a mixed-radix
+    numeral from c_n down to c_1, entry c_i giving the digit of its index in
+    _code_values; an entry of radix 1 (c_1 in A and D) has digit 0, so the
+    sign that parity forces on D's place 1 does not count.
     """
     check_group(family, n)
     element = tuple(element)
     if len(element) != n or not _MEMBERS[family](element):
         raise ValueError(f"not an element of {family}{n}: {list(element)}")
-    return _rank(family, n, element)
+    r = 0
+    code = perm_b.lehmer_b_encode(element)
+    for values, c in zip(reversed(_code_values(family, n)), reversed(code)):
+        if len(values) > 1:
+            r = r * len(values) + values.index(c)
+    return r
 
 
 def enumerate_group(
@@ -338,11 +327,12 @@ _STAT_ALIASES = {
 }
 
 
-def _resolve(family: str, name: str, table) -> tuple[str, Callable]:
-    if family not in table:
+def _resolve(family: str, name: str, *tables) -> tuple[str, Callable]:
+    """Resolve name over the family's entries in the given registries."""
+    if family not in tables[0]:
         raise ValueError(f"unknown family {family!r}; choose one of A, B, D")
     canonical = _STAT_ALIASES.get(name, name)
-    stats = table[family]
+    stats = {k: f for table in tables for k, f in table[family].items()}
     if canonical not in stats:
         choices = ", ".join(sorted(stats))
         raise ValueError(
@@ -357,6 +347,8 @@ def integer_statistic(family: str, name: str) -> tuple[str, Callable]:
 
 
 def set_statistic(family: str, name: str) -> tuple[str, Callable]:
+    if SET_STATISTICS.get(family) == {}:
+        raise ValueError(f"family {family} has no set statistics")
     return _resolve(family, name, SET_STATISTICS)
 
 
@@ -375,9 +367,7 @@ def _check_workers(workers) -> None:
 
 def _statistic_name(family: str, name: str) -> str:
     """Canonical name of an integer or set statistic of the family."""
-    if _STAT_ALIASES.get(name, name) in SET_STATISTICS[family]:
-        return set_statistic(family, name)[0]
-    return integer_statistic(family, name)[0]
+    return _resolve(family, name, INTEGER_STATISTICS, SET_STATISTICS)[0]
 
 
 def sweep(family: str, n: int, names: Sequence[str], workers: int = 1) -> Counter:
@@ -558,8 +548,9 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
     Each image must be a member of the group, be mapped back to its source
     by the stored inverse, and carry the image statistics of its source.  The
     first two make the map injective on a finite group, hence a bijection.  A
-    failed inverse test is reported as a duplicate image when an earlier
-    element has the same image.
+    failed inverse test is reported as a duplicate image when the stored
+    inverse returns another member with the same image, and as an inverse
+    mismatch otherwise.
     """
     if bijection not in BIJECTIONS:
         raise ValueError(
@@ -570,17 +561,15 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
     group_order(family, n)  # refuse a bad n before mapping any element
     pairs = _transport_pairs(bijection)
     member = _MEMBERS[family]
-    rank_of = partial(_rank, family, n)
 
     def case(el):
         image = func(el)
         if len(image) != n or not member(image):
             fault = {"reason": "image not in group"}
         elif (back := inv_func(image)) != el:
-            # an earlier element with this image passed its own inverse test,
-            # so it can only be back; the rank core needs a member
-            if (len(back) == n and member(back)
-                    and rank_of(back) < rank_of(el) and func(back) == image):
+            # another member with this image makes the map non-injective;
+            # the kernels need a member
+            if len(back) == n and member(back) and func(back) == image:
                 fault = {"reason": "duplicate image"}
             else:
                 fault = {"inverse": list(back), "reason": "inverse mismatch"}
@@ -820,13 +809,14 @@ def _check_codes(family, n, workers=1):
     pairs = _CODE_PAIRS[family]
 
     def cases():
-        for code in itertools.product(*_code_values(family, n)):
+        # at rank r, the code whose digits are r and then the element of rank r
+        codes = _codes(_code_values(family, n))
+        for code, el in zip(codes, enumerate_group(family, n)):
             for label, encode, decode in pairs:
                 yield None if encode(decode(code)) == code else {
                     "code": list(code), "pair": label,
                     "reason": "encode(decode(code)) != code",
                 }
-        for el in enumerate_group(family, n):
             for label, encode, decode in pairs:
                 yield None if decode(encode(el)) == el else {
                     "element": list(el), "pair": label,

@@ -285,6 +285,18 @@ def test_csv_rejected_outside_table(capsys):
     assert code == 2 and "only available for the table" in err
 
 
+def test_csv_refused_before_the_check_runs(capsys, monkeypatch):
+    def refuse(n, workers=1):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setitem(harness.CHECKS, "type-b-gf", refuse)
+    code, out, err = run_cli(
+        capsys, ["verify", "type-b-gf", "--n", "7", "--format", "csv"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: csv format is only available for the table command\n"
+
+
 def test_stdin_payload(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("3 -1 -6 -5 4 2"))
     code, out, _ = run_cli(capsys, ["code", "encode", "bcode", "--family", "B"])

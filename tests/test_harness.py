@@ -86,7 +86,7 @@ def test_ranker_core_matches_enumeration_order():
         for n in range(harness._MIN_N[family], top + 1)
     ]
     for family, n in groups:
-        core = partial(harness._rank, family, n)
+        core = partial(harness.rank, family, n)
         elements = list(harness.enumerate_group(family, n))
         ranks = list(map(core, elements))
         assert ranks == list(range(harness.group_order(family, n)))
@@ -218,6 +218,21 @@ def test_statistic_resolution():
     assert "inv" in str(err.value)  # the error lists the valid choices
     with pytest.raises(ValueError):
         harness.set_statistic("D", "Lmap")
+
+
+def test_sweep_error_lists_every_statistic_it_takes():
+    with pytest.raises(ValueError) as err:
+        harness.sweep("A", 3, ["Cycc"])
+    assert str(err.value) == (
+        "unknown statistic 'Cycc' for family A; choose from: "
+        "Cyc, Lmap, Rmil, cyc, inv, lr-max, nmin, rl-min, sor"
+    )
+
+
+def test_family_without_set_statistics_says_so():
+    with pytest.raises(ValueError) as err:
+        harness.set_statistic("D", "Lmap")
+    assert str(err.value) == "family D has no set statistics"
 
 
 def test_statistic_names():
@@ -633,9 +648,9 @@ def test_duplicate_of_the_first_element_is_caught(monkeypatch):
     }
 
 
-def test_image_of_a_later_element_is_an_inverse_mismatch(monkeypatch):
-    # the later element has not been mapped yet, so no earlier one shares
-    # the image: the stored inverse points past the element
+def test_image_of_a_later_element_is_a_duplicate_at_the_first(monkeypatch):
+    # the stored inverse returns the later element, a member with the same
+    # image, so the collision is caught at its first member
     family, psi, psi_inverse, int_pairs, set_pairs = harness.BIJECTIONS["psi"]
     first, second = harness.unrank("B", 4, 0), harness.unrank("B", 4, 1)
     monkeypatch.setitem(
@@ -648,8 +663,7 @@ def test_image_of_a_later_element_is_an_inverse_mismatch(monkeypatch):
     assert report.counterexample == {
         "element": list(first),
         "image": list(psi(second)),
-        "inverse": list(second),
-        "reason": "inverse mismatch",
+        "reason": "duplicate image",
     }
 
 
@@ -839,7 +853,7 @@ def test_broken_encoder_makes_codes_check_fail(monkeypatch):
     monkeypatch.setitem(harness._CODE_PAIRS, "B", pairs)
     report = harness.run_check("codes-b", 3)
     assert not report.passed
-    assert report.checked == 80
+    assert report.checked == 104
     assert report.counterexample == {
         "code": list(encode(target)),
         "pair": "acode",

@@ -1,8 +1,12 @@
-"""The README's Python examples, run as doctests."""
+"""The README's Python examples, run as doctests, and its command-line
+examples, run through the CLI."""
 
 import doctest
 import re
+import shlex
 from pathlib import Path
+
+from coxcodes import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +23,17 @@ def test_readme_python_examples():
         )
         runner.run(test)
     assert runner.failures == 0
+
+
+def test_readme_command_line_examples(capsys):
+    text = README.read_text(encoding="utf-8")
+    fences = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
+    lines = [
+        line for fence in fences for line in fence.splitlines()
+        if line.startswith("coxcodes ")
+    ]
+    assert lines, "README.md has no command-line examples"
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert cli.main(argv[1:]) == 0, line
+        capsys.readouterr()
