@@ -19,9 +19,9 @@ reads the code's digits back as unrank writes them.  The BFS behind the
 oracle tables ranks by two lookups (``_rank_tables``) read off the unrank
 tables, so the tables rank and unrank by one head/tail split, and walks s
 by s -> g^-1 s; a depth is the word length of s because every generating
-set is closed under inversion.  No check ranks an element: the oracles
-read the distance table in rank order beside the enumeration, and the
-transport check proves bijectivity by membership and the stored inverse.
+set is closed under inversion.  No check ranks an element: an oracle reads
+the distance table at the rank its scan is at, and the transport check
+proves bijectivity by membership and the stored inverse.
 
 Named checks (see CHECKS) re-prove the equidistribution and transport
 identities by direct evaluation on every element; their results are report
@@ -31,12 +31,18 @@ of its groups' statistics, of any arity and kind; ``checked`` is the number
 of groups times the group order.  A failure gives ``groups`` (the group and
 its reference: the first group or the formula), the value tuple ``key``,
 its ``count`` and ``expected``, and the ``rank`` and ``element`` of the
-lowest-rank element with that key.  Each pointwise check
-(transport, oracles, codes, type-d-sor-prime) runs one scan (_scan) over its
-cases, which stops at the first counterexample; there ``checked`` counts the
-cases taken.  Each case is a function of its own rank, and the cases come in
-rank order; a codes check takes at rank r the code whose digits are r and
-then the element of rank r.
+lowest-rank element with that key.
+
+The pointwise checks (transport, oracles, codes, type-d-sor-prime), and the
+search for a distribution check's witness, are cases of one runner, _scan,
+the only pointwise walk over the group.  It takes ranks in order, and
+case(r, el) judges the element el of rank r by its tests, each giving None
+or a fault; the scan stops at the first fault and reports it with ``rank``
+first, so unrank(family, n, rank) gives the element back.  ``checked``
+counts the tests taken, that one included.  A case depends on (r, el)
+alone: an oracle reads its table at r, and a codes check takes the code of
+rank r (the code whose digits are r, split as _split_codes splits it) and
+then el.  The runner is sequential; workers reaches the sweeps only.
 """
 
 from __future__ import annotations
@@ -154,7 +160,7 @@ def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
     """Rank by two table lookups on a member s: (k, head, tail).
 
     The rank of s is head[s[:k]] + tail[s[k:]], read off _unrank_tables with
-    its k = (n + 1) // 2.  The element of rank i * size + j is head word j
+    the k of _split_codes.  The element of rank i * size + j is head word j
     of tail i joined to that tail, so tail i's entry is i * size, and a
     head's entry is its index j, the same for every tail that shares its head
     list.
@@ -169,36 +175,37 @@ def _rank_tables(family: str, n: int) -> tuple[int, dict, dict]:
     return k, head, tail
 
 
-def _codes(entry_values) -> Iterator[tuple[int, ...]]:
-    """Every code c_1..c_m over the entry value lists, in rank order."""
+def _split_codes(family: str, n: int) -> list[list[tuple[int, ...]]]:
+    """[head codes, tail codes], each in rank order: with k = (n + 1) // 2,
+    a head code is c_1..c_k, the least significant entries, and a tail code
+    c_{k+1}..c_n, so the code of rank r is head code r % size joined to tail
+    code r // size, size being the number of head codes."""
+    v, k = _code_values(family, n), (n + 1) // 2
     # product() varies its last factor fastest, so with the entry lists
-    # reversed it yields codes c_m..c_1 in rank order
-    for c in itertools.product(*reversed(entry_values)):
-        yield c[::-1]
+    # reversed it gives codes c_m..c_1 in rank order
+    return [[c[::-1] for c in itertools.product(*p[::-1])] for p in (v[:k], v[k:])]
 
 
 def _unrank_tables(family: str, n: int) -> tuple[int, list]:
     """Unrank by concatenation: (heads per tail, tails in rank order).
 
-    With k = (n + 1) // 2, a code splits into its head c_1..c_k, the least
-    significant entries, and its tail c_{k+1}..c_n.  The signed Lehmer code
-    fills places from the right, so the tail fixes places k+1..n and the
-    head places 1..k: the element of rank r is head word r % size joined to
-    tail r // size.  Each tail entry is (fixed, heads): fixed is what the
-    tail decodes to, heads the head words of every head code in rank order.
-    The head words depend on the tail only through the head word of the
-    first head code (the value set of places 1..k, and in D the sign of
-    place 1), so one list serves every tail with that word.  All of it is
-    read off _DECODERS[family]: one decode per tail, and one per head code
-    for the first tail that reaches each list.
+    A code splits into its head and tail codes (_split_codes).  The signed
+    Lehmer code fills places from the right, so the tail fixes places
+    k+1..n and the head places 1..k: the element of rank r is head word
+    r % size joined to tail r // size.  Each tail entry is (fixed, heads):
+    fixed is what the tail decodes to, heads the head words of every head
+    code in rank order.  The head words depend on the tail only through the
+    head word of the first head code (the value set of places 1..k, and in
+    D the sign of place 1), so one list serves every tail with that word.
+    All of it is read off _DECODERS[family]: one decode per tail, and one
+    per head code for the first tail that reaches each list.
     """
     decode = _DECODERS[family]
-    values = _code_values(family, n)
-    k = (n + 1) // 2
-    head_codes = list(_codes(values[:k]))
+    head_codes, tail_codes = _split_codes(family, n)
+    k = len(head_codes[0])
     lists: dict[tuple, list] = {}
     tails = []
-    for t in _codes(values[k:]):
+    for t in tail_codes:
         element = decode(head_codes[0] + t)
         key = element[:k]
         if key not in lists:
@@ -327,12 +334,18 @@ _STAT_ALIASES = {
 }
 
 
+def _statistics(family: str, *tables) -> dict[str, Callable]:
+    """The family's entries in the given registries; an unknown family is
+    refused as check_group refuses it."""
+    if family not in _MIN_N:
+        raise ValueError(f"unknown family {family!r}; choose one of A, B, D")
+    return {k: f for table in tables for k, f in table[family].items()}
+
+
 def _resolve(family: str, name: str, *tables) -> tuple[str, Callable]:
     """Resolve name over the family's entries in the given registries."""
-    if family not in tables[0]:
-        raise ValueError(f"unknown family {family!r}; choose one of A, B, D")
+    stats = _statistics(family, *tables)
     canonical = _STAT_ALIASES.get(name, name)
-    stats = {k: f for table in tables for k, f in table[family].items()}
     if canonical not in stats:
         choices = ", ".join(sorted(stats))
         raise ValueError(
@@ -353,11 +366,11 @@ def set_statistic(family: str, name: str) -> tuple[str, Callable]:
 
 
 def integer_statistic_names(family: str) -> list[str]:
-    return sorted(INTEGER_STATISTICS[family])
+    return sorted(_statistics(family, INTEGER_STATISTICS))
 
 
 def set_statistic_names(family: str) -> list[str]:
-    return sorted(SET_STATISTICS[family])
+    return sorted(_statistics(family, SET_STATISTICS))
 
 
 def _check_workers(workers) -> None:
@@ -443,7 +456,7 @@ def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
 def _columns(family, names, block) -> list[list]:
     """Each named statistic's values on the block, a set value as the
     increasing tuple its kernel returns."""
-    stats = INTEGER_STATISTICS[family] | SET_STATISTICS[family]
+    stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
     return [list(map(stats[name], block)) for name in names]
 
 
@@ -493,17 +506,20 @@ class VerifyReport:
         }
 
 
-def _scan(name, family, n, cases, details=None) -> VerifyReport:
-    """The report of a pointwise check: cases yields None or a counterexample
-    per case, in the check's order; the scan stops at the first
-    counterexample, and checked counts the cases taken, that one included."""
-    checked, counterexample = 0, None
-    for checked, counterexample in enumerate(cases, 1):
-        if counterexample is not None:
-            break
-    return VerifyReport(
-        name, family, n, counterexample is None, checked, counterexample, details
-    )
+def _scan(name, family, n, case, details=None) -> VerifyReport:
+    """The report of a pointwise check, the one walk over the group behind
+    them all: for each rank r in order, case(r, el) gives None or a fault
+    for each of its tests on the element el of rank r, in order.  The scan
+    stops at the first fault, reported with "rank": r first, and checked
+    counts the tests taken, that one included."""
+    checked = 0
+    for r, el in enumerate(enumerate_group(family, n)):
+        for fault in case(r, el):
+            checked += 1
+            if fault is not None:
+                fault = {"rank": r, **fault}
+                return VerifyReport(name, family, n, False, checked, fault, details)
+    return VerifyReport(name, family, n, True, checked, None, details)
 
 
 # bijection name -> (family, function, [(source stat, image stat)],
@@ -538,7 +554,7 @@ def _transport_pairs(bijection: str) -> list[tuple]:
     function, image function), integer pairs first; the functions of a set
     pair return increasing tuples."""
     family, _, _, int_pairs, set_pairs = BIJECTIONS[bijection]
-    stats = INTEGER_STATISTICS[family] | SET_STATISTICS[family]
+    stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
     return [(a, b, stats[a], stats[b]) for a, b in int_pairs + set_pairs]
 
 
@@ -558,11 +574,10 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
             + ", ".join(sorted(BIJECTIONS))
         )
     family, func, inv_func = BIJECTIONS[bijection][:3]
-    group_order(family, n)  # refuse a bad n before mapping any element
     pairs = _transport_pairs(bijection)
     member = _MEMBERS[family]
 
-    def case(el):
+    def case(r, el):
         image = func(el)
         if len(image) != n or not member(image):
             fault = {"reason": "image not in group"}
@@ -582,12 +597,12 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
                              "image_value": _plain(vb)}
                     break
             else:
-                return None
-        return {"element": list(el), "image": list(image), **fault}
+                return (None,)
+        return ({"element": list(el), "image": list(image), **fault},)
 
     pairs_text = ", ".join(f"{a} -> {b}" for a, b, _, _ in pairs)
     return _scan(
-        f"transport-{bijection}", family, n, map(case, enumerate_group(family, n)),
+        f"transport-{bijection}", family, n, case,
         {"bijection": bijection, "pairs": pairs_text},
     )
 
@@ -750,19 +765,21 @@ def _check_joint(family, groups, n, workers=1, formula=None):
 
 
 def _witness(family, n, names, key) -> dict:
-    """Rank and element of the first element whose names' values are key."""
-    for r, el in enumerate(enumerate_group(family, n)):
-        if next(zip(*_columns(family, names, [el]))) == key:
-            return {"rank": r, "element": list(el)}
-    return {}
+    """Rank and element of the first element whose names' values are key:
+    the fault of a scan whose one test fails where the values are key."""
+    def case(r, el):
+        found = next(zip(*_columns(family, names, [el]))) == key
+        return ({"element": list(el)} if found else None,)
+
+    return _scan("", family, n, case).counterexample or {}
 
 
 def _check_type_d_sor_prime(n, workers=1):
-    def case(el):
+    def case(r, el):
         a, b = perm_d.sor_d(el), perm_d.sor_d_prime(el)
-        return None if a == b else {"element": list(el), "sor_D": a, "sor'_D": b}
+        return (None if a == b else {"element": list(el), "sor_D": a, "sor'_D": b},)
 
-    return _scan("", "D", n, map(case, enumerate_group("D", n)))
+    return _scan("", "D", n, case)
 
 
 def _transport(bijection, n, workers=1):
@@ -773,16 +790,14 @@ def _check_oracle(family, set_name, stat_name, n, workers=1):
     table = cayley_distance_table(family, n, set_name)
     _, stat = integer_statistic(family, stat_name)
 
-    def case(el, expected):
-        got = stat(el)
-        return None if got == expected else {
+    def case(r, el):
+        got, expected = stat(el), table[r]
+        return (None if got == expected else {
             "element": list(el), stat_name: got, f"distance over {set_name}": expected
-        }
+        },)
 
-    # the table is indexed by rank, which is the enumeration order
     return _scan(
-        "", family, n, map(case, enumerate_group(family, n), table),
-        {"generating_set": set_name, "statistic": stat_name},
+        "", family, n, case, {"generating_set": set_name, "statistic": stat_name}
     )
 
 
@@ -805,25 +820,25 @@ _CODE_PAIRS = {
 
 
 def _check_codes(family, n, workers=1):
-    group_order(family, n)  # refuse a bad n before walking any code
+    group_order(family, n)  # refuse a bad n before building any code
     pairs = _CODE_PAIRS[family]
+    heads, tails = _split_codes(family, n)
 
-    def cases():
-        # at rank r, the code whose digits are r and then the element of rank r
-        codes = _codes(_code_values(family, n))
-        for code, el in zip(codes, enumerate_group(family, n)):
-            for label, encode, decode in pairs:
-                yield None if encode(decode(code)) == code else {
-                    "code": list(code), "pair": label,
-                    "reason": "encode(decode(code)) != code",
-                }
-            for label, encode, decode in pairs:
-                yield None if decode(encode(el)) == el else {
-                    "element": list(el), "pair": label,
-                    "reason": "decode(encode(element)) != element",
-                }
+    def case(r, el):
+        # the code whose digits are r, and then the element of rank r
+        code = heads[r % len(heads)] + tails[r // len(heads)]
+        for label, encode, decode in pairs:
+            yield None if encode(decode(code)) == code else {
+                "code": list(code), "pair": label,
+                "reason": "encode(decode(code)) != code",
+            }
+        for label, encode, decode in pairs:
+            yield None if decode(encode(el)) == el else {
+                "element": list(el), "pair": label,
+                "reason": "decode(encode(element)) != element",
+            }
 
-    return _scan("", family, n, cases())
+    return _scan("", family, n, case)
 
 
 CHECKS: dict[str, Callable[..., VerifyReport]] = {

@@ -243,6 +243,19 @@ def test_statistic_names():
     assert harness.set_statistic_names("D") == []
 
 
+def test_unknown_family_is_refused_by_every_lookup():
+    lookups = [
+        harness.integer_statistic_names, harness.set_statistic_names,
+        partial(harness.integer_statistic, name="inv"),
+        partial(harness.set_statistic, name="Cyc"),
+        partial(harness.check_group, n=3),
+    ]
+    for lookup in lookups:
+        with pytest.raises(ValueError) as err:
+            lookup("X")
+        assert str(err.value) == "unknown family 'X'; choose one of A, B, D"
+
+
 def test_sweep_counts_value_tuples():
     counts = harness.sweep("B", 3, ["inv_B", "lp_B", "Rmil_B"])
     assert counts == Counter(
@@ -333,8 +346,9 @@ _BROKEN = [
 ]
 
 
-@pytest.mark.parametrize("name, n, stat", _BROKEN, ids=[c[0] for c in _BROKEN])
-def test_every_distribution_check_can_fail(monkeypatch, name, n, stat):
+def break_statistic(monkeypatch, name, n, stat) -> str:
+    """Break stat on the element of rank order // 2 + 1, as _BROKEN says,
+    and return the family of the named check."""
     family = harness.run_check(name, n).family
     target = harness.unrank(family, n, harness.group_order(family, n) // 2 + 1)
     if stat in harness.INTEGER_STATISTICS[family]:
@@ -348,6 +362,12 @@ def test_every_distribution_check_can_fail(monkeypatch, name, n, stat):
             harness.SET_STATISTICS[family], stat,
             lambda s: tuple(sorted(set(f(s)) ^ {1})) if s == target else f(s),
         )
+    return family
+
+
+@pytest.mark.parametrize("name, n, stat", _BROKEN, ids=[c[0] for c in _BROKEN])
+def test_every_distribution_check_can_fail(monkeypatch, name, n, stat):
+    family = break_statistic(monkeypatch, name, n, stat)
     report = harness.run_check(name, n)
     assert not report.passed
     ce = report.counterexample
@@ -362,6 +382,35 @@ def test_every_distribution_check_can_fail(monkeypatch, name, n, stat):
     assert harness._columns(family, group, [tuple(ce["element"])]) == [
         [v] for v in key
     ]
+
+
+def test_every_check_walks_the_group_once(monkeypatch):
+    # a pointwise check walks the group only inside the one runner, _scan, and
+    # a distribution check only in its sweep, unless it fails: then the
+    # runner walks it once more to find the witness
+    calls = []
+
+    def logged(label, f):
+        def wrapper(*args, **kwargs):
+            calls.append(label)
+            return f(*args, **kwargs)
+        return wrapper
+
+    walk = logged("walk", harness.enumerate_group)
+    monkeypatch.setattr(harness, "enumerate_group", walk)
+    monkeypatch.setattr(harness, "_scan", logged("scan", harness._scan))
+    distribution = {name for name, _, _ in _BROKEN}  # all ten of them
+    for name in harness.CHECKS:
+        calls.clear()
+        assert harness.run_check(name, 4).passed, name
+        pointwise = name not in distribution
+        assert calls == (["scan", "walk"] if pointwise else ["walk"]), name
+    for name, n, stat in _BROKEN:
+        with monkeypatch.context() as broken:
+            break_statistic(broken, name, n, stat)
+            calls.clear()
+            assert not harness.run_check(name, n).passed, name
+            assert calls == ["walk", "scan", "walk"], name
 
 
 def test_unsorted_set_value_is_caught(monkeypatch):
@@ -573,6 +622,12 @@ def test_cayley_tables_match_plain_bfs():
         )
 
 
+def replays(family, n, counterexample) -> bool:
+    """Whether a pointwise counterexample's rank unranks to its element."""
+    element = harness.unrank(family, n, counterexample["rank"])
+    return element == tuple(counterexample["element"])
+
+
 def test_broken_rank_table_makes_its_oracle_fail(monkeypatch):
     rank_tables = harness._rank_tables
 
@@ -593,7 +648,8 @@ def test_broken_rank_table_makes_its_oracle_fail(monkeypatch):
     assert table != reference_distances("B", 4, "S^B")
     assert not report.passed
     ce = report.counterexample
-    assert set(ce) == {"element", "inv_B", "distance over S^B"}
+    assert set(ce) == {"rank", "element", "inv_B", "distance over S^B"}
+    assert replays("B", 4, ce)
     assert ce["inv_B"] == perm_b.inv_b(tuple(ce["element"]))
     assert ce["distance over S^B"] != ce["inv_B"]
 
@@ -624,10 +680,12 @@ def test_non_injective_bijection_is_caught(monkeypatch):
     report = harness.run_check("type-b-transport", 4)
     assert not report.passed
     assert report.counterexample == {
+        "rank": 1,
         "element": list(second),
         "image": list(psi(first)),
         "reason": "duplicate image",
     }
+    assert replays("B", 4, report.counterexample)
 
 
 def test_duplicate_of_the_first_element_is_caught(monkeypatch):
@@ -642,10 +700,12 @@ def test_duplicate_of_the_first_element_is_caught(monkeypatch):
     report = harness.run_check("type-b-transport", 4)
     assert not report.passed and report.checked == order
     assert report.counterexample == {
+        "rank": order - 1,
         "element": list(last),
         "image": list(psi(first)),
         "reason": "duplicate image",
     }
+    assert replays("B", 4, report.counterexample)
 
 
 def test_image_of_a_later_element_is_a_duplicate_at_the_first(monkeypatch):
@@ -661,16 +721,18 @@ def test_image_of_a_later_element_is_a_duplicate_at_the_first(monkeypatch):
     report = harness.run_check("type-b-transport", 4)
     assert not report.passed and report.checked == 1
     assert report.counterexample == {
+        "rank": 0,
         "element": list(first),
         "image": list(psi(second)),
         "reason": "duplicate image",
     }
+    assert replays("B", 4, report.counterexample)
 
 
 @pytest.mark.parametrize("bijection, n, r, image", [
     ("phi", 3, 2, (2, 1)),  # a permutation, but of the wrong length
-    ("psi", 4, 7, (2, -2, 3, 4)),  # the rank core gives it a member's rank
-    ("rho", 3, 5, (1, 1, 1)),  # the rank core gives it rank 0, that of (3, 2, 1)
+    ("psi", 4, 7, (2, -2, 3, 4)),  # repeats an absolute value
+    ("rho", 3, 5, (1, 1, 1)),  # repeats one letter
 ])
 def test_non_member_image_is_caught(monkeypatch, bijection, n, r, image):
     family, func, func_inverse, int_pairs, set_pairs = harness.BIJECTIONS[bijection]
@@ -683,10 +745,12 @@ def test_non_member_image_is_caught(monkeypatch, bijection, n, r, image):
     report = harness.verify_transport(bijection, n)
     assert not report.passed
     assert report.counterexample == {
+        "rank": r,
         "element": list(target),
         "image": list(image),
         "reason": "image not in group",
     }
+    assert replays(family, n, report.counterexample)
 
 
 def test_parallel_workers_capped_at_cpu_count(monkeypatch):
@@ -728,10 +792,12 @@ def test_broken_length_makes_its_oracle_fail(monkeypatch):
     report = harness.run_check("oracle-length-b", 4)
     assert not report.passed
     assert report.counterexample == {
+        "rank": 100,
         "element": list(target),
         "inv_B": inv_b(target) + 1,
         "distance over S^B": inv_b(target),
     }
+    assert replays("B", 4, report.counterexample)
 
 
 def test_bfs_refuses_large_groups():
@@ -839,8 +905,9 @@ def test_broken_sor_prime_makes_its_check_fail(monkeypatch):
     assert not report.passed
     assert report.checked == 78
     assert report.counterexample == {
-        "element": [1, 3, 2, 4], "sor_D": 1, "sor'_D": 2,
+        "rank": 77, "element": [1, 3, 2, 4], "sor_D": 1, "sor'_D": 2,
     }
+    assert replays("D", 4, report.counterexample)
 
 
 def test_broken_encoder_makes_codes_check_fail(monkeypatch):
@@ -855,10 +922,17 @@ def test_broken_encoder_makes_codes_check_fail(monkeypatch):
     assert not report.passed
     assert report.checked == 104
     assert report.counterexample == {
+        "rank": 17,
         "code": list(encode(target)),
         "pair": "acode",
         "reason": "encode(decode(code)) != code",
     }
+    # a code-side fault gives the code of its rank: the signed Lehmer code of
+    # the element of that rank
+    ce = report.counterexample
+    assert perm_b.lehmer_b_encode(harness.unrank("B", 3, ce["rank"])) == tuple(
+        ce["code"]
+    )
 
 
 def test_transport_statistic_mismatch_keeps_the_image(monkeypatch):
@@ -869,12 +943,14 @@ def test_transport_statistic_mismatch_keeps_the_image(monkeypatch):
     report = harness.run_check("type-a-transport", 3)
     assert not report.passed and report.checked == 5
     assert report.counterexample == {
+        "rank": 4,
         "element": [2, 1, 3],
         "image": [2, 1, 3],
         "statistic": "inv -> sor",
         "source_value": 1,
         "image_value": 2,
     }
+    assert replays("A", 3, report.counterexample)
     monkeypatch.undo()
     cyc_b = harness.SET_STATISTICS["B"]["Cyc_B"]
     image = (-2, -1, 3)  # the image of (-2, 1, 3), rank 17
@@ -885,12 +961,14 @@ def test_transport_statistic_mismatch_keeps_the_image(monkeypatch):
     report = harness.run_check("type-b-transport", 3)
     assert not report.passed and report.checked == 18
     assert report.counterexample == {
+        "rank": 17,
         "element": [-2, 1, 3],
         "image": [-2, -1, 3],
         "statistic": "Rmil_B -> Cyc_B",
         "source_value": [1, 3],
         "image_value": [1, 3, 9],
     }
+    assert replays("B", 3, report.counterexample)
 
 
 def test_wrong_inverse_is_caught(monkeypatch):
@@ -901,8 +979,10 @@ def test_wrong_inverse_is_caught(monkeypatch):
     report = harness.run_check("type-a-transport", 4)
     assert not report.passed and report.checked == 1
     assert report.counterexample == {
+        "rank": 0,
         "element": [4, 3, 2, 1],
         "image": [4, 1, 2, 3],
         "inverse": [4, 1, 2, 3],
         "reason": "inverse mismatch",
     }
+    assert replays("A", 4, report.counterexample)
