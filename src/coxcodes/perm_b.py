@@ -16,9 +16,11 @@ with a < 0 it swaps the letters at places |a| and j and flips both signs
 a = j are accepted as identity markers but never produced.
 
 The B-code is the code of the sorting factorization: entry j is the a of the
-factor (a, j) that moves j home, or j.  One walk (_sorting_code) and its
-inverse (_code_product) give it and the type-D F-code; bcode_b_encode stays
-the independent cycle walk that tests compare against.
+factor (a, j) that moves j home, or j.  One walk (_sorting_code) gives the B-
+and F-codes, and its inverse (_code_product) decodes them.  The sorting
+indices are read off the B-code (Petersen): sor_B is the sum of j - b_j less
+the number of barred b_j.  bcode_b_encode stays the independent cycle walk
+that tests compare against.
 """
 
 from __future__ import annotations
@@ -178,12 +180,13 @@ def selection_sort_factorization(
     with a != j.  They multiply right to left to give s back; no identity
     markers appear.
     """
-    return tuple((a, j) for j, a in enumerate(_sorting_code(s, False), 1) if a != j)
+    code = _sorting_code(s, False)[0]
+    return tuple((a, j) for j, a in enumerate(code, 1) if a != j)
 
 
-def _sorting_code(s: SignedPerm, even: bool) -> SignedCode:
+def _sorting_code(s: SignedPerm, even: bool) -> tuple[SignedCode, int]:
     """For j = n down to 1, the a of the generator (a, j) that moves letter j
-    home, or j when j is already home.
+    home, or j when j is already home; and the number of barred a.
 
     (-j, j) is the sign change of j, or with even set the composite that also
     flips place 1 (the type-D generator).  Without even this is the B-code,
@@ -191,34 +194,36 @@ def _sorting_code(s: SignedPerm, even: bool) -> SignedCode:
     co-sorting factorizations.
 
     >>> _sorting_code((3, -1, -6, -5, 4, 2), False)
-    (1, -1, 1, -4, -4, -3)
+    ((1, -1, 1, -4, -4, -3), 4)
     """
     w = list(s)
     n = len(w)
     place = [0] * (n + 1)
     for p, v in enumerate(w, 1):
         place[v if v > 0 else -v] = p
-    code = list(range(1, n + 1))
+    bars = 0
     for j in range(n, 0, -1):
         x = w[j - 1]
         if x == j:
             continue
         i = place[j]
-        # letters above j are home and place j is never read again, so only
-        # the letter leaving it moves
+        # letters above j are home and place j is never read again, so it
+        # takes code entry j and only the letter leaving it moves
         if i == j:  # -j at home
-            code[j - 1] = -j
-            if even:
+            if even:  # before the entry is written: place 1 may be place j
                 w[0] = -w[0]
+            w[j - 1] = -j
+            bars += 1
         elif w[i - 1] == j:
-            code[j - 1] = i
+            w[j - 1] = i
             w[i - 1] = x
             place[x if x > 0 else -x] = i
         else:
-            code[j - 1] = -i
+            w[j - 1] = -i
+            bars += 1
             w[i - 1] = -x
             place[x if x > 0 else -x] = i
-    return tuple(code)
+    return tuple(w), bars
 
 
 def _code_product(c: SignedCode, even: bool) -> SignedPerm:
@@ -245,44 +250,15 @@ def factor_weight_b(a: int, j: int) -> int:
 
 
 def sor_b(s: SignedPerm) -> int:
-    """Type-B sorting index: total factor weight of the sorting factorization.
+    """Type-B sorting index: total factor weight of the sorting factorization,
+    read off the B-code b as the sum of j - b_j less the number of barred b_j.
 
     >>> sor_b((5, -4, -3, 1, -2))
     16
     """
-    return _sorting_weight(s, 1)
-
-
-def _sorting_weight(s: SignedPerm, bar_weight: int) -> int:
-    """Total weight of selection_sort_factorization(s) when a factor (a, j)
-    weighs j - a, minus bar_weight when a is barred (1 in type B, 2 in D).
-
-    Runs the walk of _sorting_code (with the sign change for (-j, j)) and
-    sums the weights without building the code.
-    """
-    w = list(s)
-    n = len(w)
-    place = [0] * (n + 1)
-    for p, v in enumerate(w, 1):
-        place[v if v > 0 else -v] = p
-    total = 0
-    for j in range(n, 0, -1):
-        x = w[j - 1]
-        if x == j:
-            continue
-        i = place[j]
-        # place j is never read again, so only the letter leaving it moves
-        if i == j:  # -j at home: the sign change (-j, j)
-            total += 2 * j - bar_weight
-        elif w[i - 1] == j:  # factor (i, j)
-            total += j - i
-            w[i - 1] = x
-            place[x if x > 0 else -x] = i
-        else:  # -j at place i: factor (-i, j), flipping both letters
-            total += j + i - bar_weight
-            w[i - 1] = -x
-            place[x if x > 0 else -x] = i
-    return total
+    b, bars = _sorting_code(s, False)
+    n = len(b)
+    return n * (n + 1) // 2 - sum(b) - bars
 
 
 class SignedCycle(NamedTuple):

@@ -11,9 +11,11 @@ does not preserve evenness.
 
 The weight of a factor (a, j) is j - a, minus 2 when a is barred.
 
-The F-code is the code of the co-sorting factorization, as the B-code is that
-of the sorting one, and comes from the same walk: perm_b._sorting_code and
-perm_b._code_product with the even flag, which makes (-j, j) the composite.
+One walk gives the B- and F-codes: perm_b._sorting_code, whose even flag makes
+(-j, j) the composite, and perm_b._code_product decodes both.  The F-code is
+the code of the co-sorting factorization, as the B-code is that of the sorting
+one.  sor_D is read off the B-code as sor_B is, a barred entry taking 2 off;
+sor'_D sums the factor weights over the F-code, so the two stay independent.
 The E-code is decoded as the A-code with the type-D flip: the same flag on
 perm_b._acode_b_decode flips the first letter before each barred insertion.
 """
@@ -96,12 +98,15 @@ def factor_weight_d(a: int, j: int) -> int:
 
 def sor_d(s: SignedPerm) -> int:
     """Type-D sorting index: the total factor_weight_d over the signed sorting
-    factorization of s (perm_b.selection_sort_factorization).
+    factorization of s (perm_b.selection_sort_factorization), read off the
+    B-code b as the sum of j - b_j less twice the number of barred b_j.
 
     >>> sor_d((-2, -4, 5, -1, -3))
     11
     """
-    return perm_b._sorting_weight(s, 2)
+    b, bars = perm_b._sorting_code(s, False)
+    n = len(b)
+    return n * (n + 1) // 2 - sum(b) - 2 * bars
 
 
 def cosort_factorization(s: SignedPerm) -> tuple[tuple[int, int], ...]:
@@ -115,7 +120,7 @@ def cosort_factorization(s: SignedPerm) -> tuple[tuple[int, int], ...]:
 
     Raises ValueError on anything but an even-signed permutation.
     """
-    code = perm_b._sorting_code(validate_even_signed(s), True)
+    code = perm_b._sorting_code(validate_even_signed(s), True)[0]
     return tuple((a, j) for j, a in enumerate(code, 1) if a != j)
 
 
@@ -127,7 +132,7 @@ def sor_d_prime(s: SignedPerm) -> int:
     >>> sor_d_prime((-2, -4, 5, -1, -3))
     11
     """
-    code = perm_b._sorting_code(s, True)
+    code = perm_b._sorting_code(s, True)[0]
     return sum(factor_weight_d(a, j) for j, a in enumerate(code, 1))
 
 
@@ -148,7 +153,7 @@ def reflection_length_d(s: SignedPerm) -> int:
     >>> reflection_length_d((-2, -4, 5, -1, -3))
     4
     """
-    f = perm_b._sorting_code(s, True)
+    f = perm_b._sorting_code(s, True)[0]
     return len(s) - sum(1 for r, fr in enumerate(f, 1) if fr == r)
 
 
@@ -216,7 +221,7 @@ def fcode_encode(s: SignedPerm) -> SignedCode:
 
     Raises ValueError on anything but an even-signed permutation.
     """
-    return perm_b._sorting_code(validate_even_signed(s), True)
+    return perm_b._sorting_code(validate_even_signed(s), True)[0]
 
 
 def fcode_decode(code: Sequence[int]) -> SignedPerm:
@@ -241,4 +246,4 @@ def rho(s: SignedPerm) -> SignedPerm:
 
 
 def rho_inverse(s: SignedPerm) -> SignedPerm:
-    return perm_b._acode_b_decode(perm_b._sorting_code(s, True), True)
+    return perm_b._acode_b_decode(perm_b._sorting_code(s, True)[0], True)

@@ -6,7 +6,8 @@ import json
 import math
 import os
 from collections import Counter
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -445,33 +446,83 @@ def test_formula_over_counting_everywhere_gives_no_witness(monkeypatch):
     }
 
 
-def reports_sha256(names):
-    """One hash of the JSON of every report of the named checks, for every n
-    up to A7, B5 and D6 with 1 and 2 workers."""
-    digest = hashlib.sha256()
+# the checks whose reports the three report pins hash: the eight distribution
+# checks other than the triples, the triples, and the eleven pointwise checks
+# in name order, so that no change of enumeration order leaks into checked or
+# details
+DISTRIBUTION_CHECKS = (
+    "type-a-gf", "type-a-set-pairs", "type-a-four-pairs",
+    "type-b-gf", "type-b-set-pairs", "type-b-four-pairs",
+    "type-d-bivariate", "type-d-mahonian",
+)
+TRIPLES_CHECKS = ("type-a-triples", "type-b-triples")
+POINTWISE_CHECKS = (
+    "codes-a", "codes-b", "codes-d",
+    "oracle-length-b", "oracle-length-d",
+    "oracle-reflection-length-b", "oracle-reflection-length-d",
+    "type-a-transport", "type-b-transport",
+    "type-d-sor-prime", "type-d-transport",
+)
+REPORT_DIGESTS = Path(__file__).with_name("report_digests.json")
+
+
+@cache
+def report_json(name, n, workers):
+    """The JSON of one report, computed once per test session and shared by
+    the report pins and the per-report digests."""
+    return json.dumps(harness.run_check(name, n, workers).to_dict())
+
+
+def pinned_reports(names):
+    """(check, n, workers) for the named checks, for every n up to A7, B5 and
+    D6 with 1 and 2 workers."""
     for name in names:
-        family = harness.run_check(name, 3).family
+        family = json.loads(report_json(name, 3, 1))["family"]
         top = {"A": 7, "B": 5, "D": 6}[family]
         for n in range(harness._MIN_N[family], top + 1):
             for workers in (1, 2):
-                report = harness.run_check(name, n, workers).to_dict()
-                digest.update(json.dumps(report).encode())
+                yield name, n, workers
+
+
+def reports_sha256(names):
+    """One hash of the JSON of every pinned report of the named checks."""
+    digest = hashlib.sha256()
+    for key in pinned_reports(names):
+        digest.update(report_json(*key).encode())
     return digest.hexdigest()
 
 
 def test_distribution_reports_keep_their_bytes():
-    # the eight distribution checks other than the triples
-    assert reports_sha256((
-        "type-a-gf", "type-a-set-pairs", "type-a-four-pairs",
-        "type-b-gf", "type-b-set-pairs", "type-b-four-pairs",
-        "type-d-bivariate", "type-d-mahonian",
-    )) == "ff289bf256d1a65c5a1cff01bba8df0dfa9cea0420aa9083e67346a8df3597af"
+    assert reports_sha256(DISTRIBUTION_CHECKS) == (
+        "ff289bf256d1a65c5a1cff01bba8df0dfa9cea0420aa9083e67346a8df3597af"
+    )
 
 
 def test_triples_reports_keep_their_bytes():
-    assert reports_sha256(("type-a-triples", "type-b-triples")) == (
+    assert reports_sha256(TRIPLES_CHECKS) == (
         "e4fe40cdbd41b01ab632faba5a558c91af0d84c55daf4228f116725bf491daf2"
     )
+
+
+def test_pointwise_reports_keep_their_bytes():
+    assert reports_sha256(POINTWISE_CHECKS) == (
+        "fff56fc871c2e4fa89a293819e05ecc103ab83f32a64cb8a0e8b1105c7689c1a"
+    )
+
+
+def test_each_pinned_report_keeps_its_digest():
+    # one digest per report, so that a moved pin names its reports
+    expected = json.loads(REPORT_DIGESTS.read_text())
+    got = {
+        f"{name} n={n} workers={workers}": hashlib.sha256(
+            report_json(name, n, workers).encode()
+        ).hexdigest()
+        for name, n, workers in pinned_reports(
+            DISTRIBUTION_CHECKS + TRIPLES_CHECKS + POINTWISE_CHECKS
+        )
+    }
+    moved = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+    assert not moved, f"reports whose digest moved: {moved}"
 
 
 def test_set_statistic_sweeps_keep_their_values():
@@ -486,18 +537,6 @@ def test_set_statistic_sweeps_keep_their_values():
     assert digest.hexdigest() == (
         "4b3aa693f03042cc10bae68e3782179fd1bc0e58e9e2bd2d8364cbf4addbdb7d"
     )
-
-
-def test_pointwise_reports_keep_their_bytes():
-    # the eleven pointwise checks in name order, so that no change of
-    # enumeration order leaks into checked or details
-    assert reports_sha256((
-        "codes-a", "codes-b", "codes-d",
-        "oracle-length-b", "oracle-length-d",
-        "oracle-reflection-length-b", "oracle-reflection-length-d",
-        "type-a-transport", "type-b-transport",
-        "type-d-sor-prime", "type-d-transport",
-    )) == "fff56fc871c2e4fa89a293819e05ecc103ab83f32a64cb8a0e8b1105c7689c1a"
 
 
 def test_joint_distribution_anchor():
@@ -906,6 +945,28 @@ def test_broken_sor_prime_makes_its_check_fail(monkeypatch):
     assert report.checked == 78
     assert report.counterexample == {
         "rank": 77, "element": [1, 3, 2, 4], "sor_D": 1, "sor'_D": 2,
+    }
+    assert replays("D", 4, report.counterexample)
+
+
+def test_broken_walk_makes_the_sorting_checks_fail(monkeypatch):
+    # the shared walk counts one bar too many on a single element of D4 (and
+    # so of B4): sor_B and sor_D read that count, sor'_D sums the F-code's
+    # factor weights and does not
+    walk = perm_b._sorting_code
+    target = harness.unrank("D", 4, 97)
+
+    def broken(s, even):
+        code, bars = walk(s, even)
+        return code, bars + (s == target)
+
+    monkeypatch.setattr(perm_b, "_sorting_code", broken)
+    for name in ("type-b-gf", "type-d-mahonian"):
+        assert not harness.run_check(name, 4).passed
+    report = harness.run_check("type-d-sor-prime", 4)
+    assert not report.passed
+    assert report.counterexample == {
+        "rank": 97, "element": [-3, 4, 2, -1], "sor_D": 3, "sor'_D": 5,
     }
     assert replays("D", 4, report.counterexample)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxcodes import perm_a, perm_b
+from coxcodes import perm_a, perm_b, perm_d
 
 
 def all_signed(n):
@@ -96,6 +96,20 @@ def recursive_bcode(s):
     if t < n:
         w[t - 1] = w[n - 1] if w[t - 1] > 0 else -w[n - 1]
     return recursive_bcode(tuple(w[: n - 1])) + (entry,)
+
+
+def reference_sorting_index(s, multiply, weight):
+    """A sorting index by its definition: for j = n down to 1, find the letter
+    +-j at place p and right-multiply by the generator that brings +j home,
+    (p, j) for j and (-p, j) for -j, adding the generator's weight."""
+    total = 0
+    for j in range(len(s), 0, -1):
+        p = s.index(j) + 1 if j in s else -(s.index(-j) + 1)
+        if p != j:
+            s = multiply(s, p, j)
+            total += weight(p, j)
+    assert s == perm_b.identity(len(s))
+    return total
 
 
 def test_doctests():
@@ -329,9 +343,32 @@ def test_bcode_b_golden():
 
 
 def test_bcode_b_matches_recursive_oracle():
-    for n in range(1, 6):
+    # the cycle walk and the selection-sort walk, each against the oracle
+    for n in range(1, 7):
         for s in all_signed(n):
-            assert perm_b.bcode_b_encode(s) == recursive_bcode(s)
+            b = recursive_bcode(s)
+            assert perm_b.bcode_b_encode(s) == b
+            walk = list(range(1, n + 1))
+            for a, j in perm_b.selection_sort_factorization(s):
+                walk[j - 1] = a
+            assert tuple(walk) == b
+
+
+def test_sorting_indices_match_step_by_step_sorting():
+    # sor, sor_B and sor_D sort with the sign change (-j, j), sor'_D with the
+    # composite that also flips place 1
+    ref = reference_sorting_index
+    transposition, generator = perm_b.apply_transposition, perm_d.apply_generator
+    w_b, w_d = perm_b.factor_weight_b, perm_d.factor_weight_d
+    for n in range(1, 8):
+        for s in itertools.permutations(range(1, n + 1)):
+            assert perm_a.sor(s) == ref(s, transposition, w_b)
+    for n in range(1, 7):
+        for s in all_signed(n):
+            assert perm_b.sor_b(s) == ref(s, transposition, w_b)
+            if n > 1 and perm_d.is_even_signed(s):
+                assert perm_d.sor_d(s) == ref(s, transposition, w_d)
+                assert perm_d.sor_d_prime(s) == ref(s, generator, w_d)
 
 
 def test_psi_golden():
