@@ -10,9 +10,9 @@ c_1 carries no digit, since place 1 takes the sign that makes the bars
 even, so D's rank is B's rank halved.  unrank decodes one code;
 enumerate_group decodes none per element: it joins head words (places
 1..k, fixed by c_1..c_k) to tail words (places k+1..n, fixed by
-c_{k+1}..c_n), both tabulated from the decoder once per call
-(_unrank_tables).  Supported ranks: A up to 9, B up to 8, D from 2 up to 8;
-anything larger is refused outright rather than truncated.
+c_{k+1}..c_n), tabulated once per group (_unrank_tables), every head list
+relabelled from one.  Supported ranks: A up to 9, B up to 8, D from 2 up
+to 8; anything larger is refused outright rather than truncated.
 
 Public ``rank`` validates its input (length n, a member of the group) and
 reads the code's digits back as unrank writes them.  The BFS behind the
@@ -28,10 +28,11 @@ identities by direct evaluation on every element; their results are report
 payloads, never exceptions.  A distribution check (_check_joint, among them
 the paper's type-A and type-B triple theorems) sweeps once over the union
 of its groups' statistics, of any arity and kind; ``checked`` is the number
-of groups times the group order.  A failure gives ``groups`` (the group and
-its reference: the first group or the formula), the value tuple ``key``,
-its ``count`` and ``expected``, and the ``rank`` and ``element`` of the
-lowest-rank element with that key.
+of groups times the group order; a statistic that splits over head and
+tail (see _sweep) is counted off the same tables.  A failure gives
+``groups`` (the group and its reference: the first group or the formula),
+the value tuple ``key``, its ``count`` and ``expected``, and the ``rank``
+and ``element`` of the lowest-rank element with the key, as counted.
 
 The pointwise checks (transport, oracles, codes, type-d-sor-prime), and the
 search for a distribution check's witness, are cases of one runner, _scan,
@@ -186,6 +187,7 @@ def _split_codes(family: str, n: int) -> list[list[tuple[int, ...]]]:
     return [[c[::-1] for c in itertools.product(*p[::-1])] for p in (v[:k], v[k:])]
 
 
+@lru_cache(maxsize=1)
 def _unrank_tables(family: str, n: int) -> tuple[int, list]:
     """Unrank by concatenation: (heads per tail, tails in rank order).
 
@@ -194,23 +196,30 @@ def _unrank_tables(family: str, n: int) -> tuple[int, list]:
     k+1..n and the head places 1..k: the element of rank r is head word
     r % size joined to tail r // size.  Each tail entry is (fixed, heads):
     fixed is what the tail decodes to, heads the head words of every head
-    code in rank order.  The head words depend on the tail only through the
-    head word of the first head code (the value set of places 1..k, and in
-    D the sign of place 1), so one list serves every tail with that word.
-    All of it is read off _DECODERS[family]: one decode per tail, and one
-    per head code for the first tail that reaches each list.
+    code in rank order.  The decoder takes the head's letters, by index,
+    from the values V the tail leaves, so a head word on V is the word of
+    its head code on 1..k with each letter i relabelled V[i - 1], sign kept;
+    in D place 1 also flips when the tail has an odd number of bars.  One
+    list serves every tail with that V (and in D parity): one decode per
+    tail and per head code.  The cache keeps the last group's tables, which
+    a sweep range reads for its elements and its split columns, unchanged.
     """
     decode = _DECODERS[family]
     head_codes, tail_codes = _split_codes(family, n)
     k = len(head_codes[0])
+    # c_i = i for i > k decodes to the tail k+1..n, leaving 1..k to the head
+    base = [decode(h + tuple(range(k + 1, n + 1)))[:k] for h in head_codes]
     lists: dict[tuple, list] = {}
     tails = []
     for t in tail_codes:
-        element = decode(head_codes[0] + t)
-        key = element[:k]
-        if key not in lists:
-            lists[key] = [decode(h + t)[:k] for h in head_codes]
-        tails.append((element[k:], lists[key]))
+        fixed = decode(head_codes[0] + t)[k:]
+        values = tuple(sorted(set(range(1, n + 1)) - set(map(abs, fixed))))
+        flip = family == "D" and perm_b.neg_count(fixed) % 2 == 1
+        if (values, flip) not in lists:
+            heads = [tuple(values[x - 1] if x > 0 else -values[-x - 1] for x in w)
+                     for w in base]
+            lists[values, flip] = [(-w[0],) + w[1:] for w in heads] if flip else heads
+        tails.append((fixed, lists[values, flip]))
     return len(head_codes), tails
 
 
@@ -255,8 +264,8 @@ def enumerate_group(
 
     Disjoint rank ranges give disjoint element streams, so a sweep can be
     split into independent chunks.  Elements are joined from the head and
-    tail tables of _unrank_tables, built on each call, and a range starts at
-    its tail directly, so a chunk's start costs O(1).
+    tail tables of _unrank_tables, and a range starts at its tail directly,
+    so a chunk's start costs O(1).
     """
     order = group_order(family, n)
     if stop is None:
@@ -267,8 +276,14 @@ def enumerate_group(
     if not 0 <= start <= stop <= order:
         raise ValueError(f"bad range [{start}, {stop}) for order {order}")
     size, tails = _unrank_tables(family, n)
+    yield from _join(size, tails.__getitem__, start, stop)
+
+
+def _join(size, tail_at, start, stop) -> Iterator:
+    """heads[j] + fixed for the ranks i * size + j in start..stop-1, in order,
+    with (fixed, heads) = tail_at(i): elements, or split values."""
     for i in range(start // size, -(-stop // size)):
-        fixed, heads = tails[i]
+        fixed, heads = tail_at(i)
         lo, hi = start - i * size, stop - i * size
         if lo > 0 or hi < size:  # the range starts or ends inside this tail
             heads = heads[max(lo, 0):hi]
@@ -413,6 +428,24 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     """One sweep over the union of the groups' statistics, counting the value
     tuple of each group of names separately, not the tuple of their union, so
     its memory is that of the groups' tables; sweep is the case of one group.
+
+    A statistic whose registry entry is a kernel in _SPLIT is counted as a
+    head part plus a tail part over the split of _unrank_tables; any other
+    entry, a replaced or wrapped kernel among them, is called per element.
+    Write s = h + t (h on places 1..k), x' for x's letters barred in any
+    order.  Each such f sums (a set: unites) terms over places and pairs of
+    places, where the terms within the head read the tail, and the other
+    terms in sum read the head, only by its set of absolute values:
+    |s(i)| > s(j) for an inversion, s(i) > |s(q)| for q < i for lr-max,
+    0 < s(i) < |s(q)| for q > i for rl-min, s(i) < 0 for N, s(i) = -1 in
+    nmin_D, 1 per place for the n of nmin and nmax_B.  With u = h + t',
+    v = h' + t and w = h' + t', u has s's head terms and w's others, v has
+    w's head terms and s's others: f(s) = (f(u) - f(w)) + f(v), and a set's
+    f(w) is empty, no barred letter being a member.  The set one part reads
+    is the complement of its own, so one head column serves every tail of a
+    head list, and one tail part every head.  This partitions f's definition
+    by places, with no code digit or product formula, so a formula check
+    still tests the kernel, which a whole-group test proves the split equals.
     """
     order = group_order(family, n)
     _check_workers(workers)
@@ -441,21 +474,72 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     return totals
 
 
+# the kernels proven equal to their split form (see _sweep), among them
+# inv, lr-max, rl-min, nmin, Lmap and Rmil of A; a replaced or wrapped
+# registry entry is no member
+_SPLIT = frozenset({
+    perm_a.inv, perm_b.inv_b, perm_d.inv_d, perm_b.neg_count, perm_b.lr_max_b,
+    perm_b.rl_min_b, perm_b.nmin_b, perm_b.nmax_b, perm_d.nmin_d,
+    perm_b.lmap_b_set, perm_b.rmil_b_set})
+
+
 def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
     """The sweep over ranks start..stop-1; names are canonical, and they, not
     the statistic functions, are what crosses into a worker process."""
     counts = [Counter() for _ in places]
+    columns = _column_reader(family, n, names, start, stop)
     elements = enumerate_group(family, n, start, stop)
     while block := list(itertools.islice(elements, _BLOCK)):
-        columns = _columns(family, names, block)
+        values = columns(block)
         for count, place in zip(counts, places):
-            count.update(zip(*(columns[i] for i in place)))
+            count.update(zip(*(values[i] for i in place)))
     return counts
 
 
+def _column_reader(family, n, names, start, stop) -> Callable[[list], list]:
+    """The function taking each next block of the range's elements, in rank
+    order, to the named statistics' columns as the sweep counts them: read
+    off _split_values for a kernel in _SPLIT, by _columns for the rest."""
+    stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
+    split = {i: _split_values(family, n, stats[name], start, stop)
+             for i, name in enumerate(names) if stats[name] in _SPLIT}
+    called = [name for i, name in enumerate(names) if i not in split]
+
+    def columns(block):
+        by_call = iter(_columns(family, called, block))
+        return [list(itertools.islice(split[i], len(block))) if i in split
+                else next(by_call) for i in range(len(names))]
+
+    return columns
+
+
+def _split_values(family, n, f, start, stop) -> Iterator:
+    """f's values on ranks start..stop-1 in order, joined as the words are:
+    one head column per head list, one tail part per tail (see _sweep)."""
+    size, tails = _unrank_tables(family, n)
+    head_columns: dict[tuple, list] = {}  # keyed by a head list's first word
+
+    def tail_at(i):
+        fixed, heads = tails[i]
+        if heads[0] not in head_columns:
+            head_columns[heads[0]] = _head_part(f, heads, fixed)
+        return f(tuple(-abs(x) for x in heads[0]) + fixed), head_columns[heads[0]]
+
+    return _join(size, tail_at, start, stop)
+
+
+def _head_part(f, heads, fixed) -> list:
+    """f(h + t') - f(g' + t') for each h in heads, g = heads[0] and t = fixed
+    a tail of that list, x' being x barred; f(g' + t) is t's tail part."""
+    barred_tail = tuple(-abs(x) for x in fixed)
+    column = [f(h + barred_tail) for h in heads]
+    c = f(tuple(-abs(x) for x in heads[0]) + barred_tail)  # a set's is ()
+    return [v - c for v in column] if c else column
+
+
 def _columns(family, names, block) -> list[list]:
-    """Each named statistic's values on the block, a set value as the
-    increasing tuple its kernel returns."""
+    """Each named statistic's values on the block, by calling its registry
+    entry on each element; a set value is the increasing tuple it returns."""
     stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
     return [list(map(stats[name], block)) for name in names]
 
@@ -522,27 +606,27 @@ def _scan(name, family, n, case, details=None) -> VerifyReport:
     return VerifyReport(name, family, n, True, checked, None, details)
 
 
-# bijection name -> (family, function, [(source stat, image stat)],
-#                    [(source set stat, image set stat)])
+# bijection name -> (family, core, inverse core, [(source stat, image stat)],
+#                    [(source set stat, image set stat)]); callers pass members
 BIJECTIONS: dict[str, tuple] = {
     "phi": (
         "A",
-        perm_a.phi,
-        perm_a.phi_inverse,
+        perm_b._psi,
+        perm_b._psi_inverse,
         [("inv", "sor"), ("rl-min", "cyc")],
         [("Lmap", "Lmap")],
     ),
     "psi": (
         "B",
-        perm_b.psi,
-        perm_b.psi_inverse,
+        perm_b._psi,
+        perm_b._psi_inverse,
         [("inv_B", "sor_B")],
         [("Lmap_B", "Lmap_B"), ("Rmil_B", "Cyc_B")],
     ),
     "rho": (
         "D",
-        perm_d.rho,
-        perm_d.rho_inverse,
+        perm_d._rho,
+        perm_d._rho_inverse,
         [("inv_D", "sor_D"), ("nmin_D", "lt'_D")],
         [],
     ),
@@ -765,10 +849,13 @@ def _check_joint(family, groups, n, workers=1, formula=None):
 
 
 def _witness(family, n, names, key) -> dict:
-    """Rank and element of the first element whose names' values are key:
-    the fault of a scan whose one test fails where the values are key."""
+    """Rank and element of the first element whose names' values, as the
+    sweep counts them, are key: the fault of a scan whose one test fails
+    there.  The scan takes every rank in order, in step with the reader."""
+    columns = _column_reader(family, n, names, 0, group_order(family, n))
+
     def case(r, el):
-        found = next(zip(*_columns(family, names, [el]))) == key
+        found = next(zip(*columns([el]))) == key
         return ({"element": list(el)} if found else None,)
 
     return _scan("", family, n, case).counterexample or {}

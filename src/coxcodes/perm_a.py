@@ -12,8 +12,8 @@ signed statistic, code and bijection restricts to its type-A form (inv_B
 minus the bars is inv, sor_B is sor, cyc_B is cyc, psi is phi, and so on).
 So most public names here are the ``perm_b`` kernels themselves.  Only what
 differs in A has a body here: membership (no bars), the code range 1..i, the
-decoders that check that range, max_set, and the cycle tuples.  ``nmin`` is
-n minus rl-min.
+decoders that check it, phi and its inverse, which check membership, max_set,
+and the cycle tuples.  ``nmin`` is n minus rl-min.
 
 Functions assume valid input unless they say otherwise; ``validate_*`` helpers
 are meant for boundaries (CLI parsing, decoding untrusted codes).
@@ -75,8 +75,6 @@ acode_encode = perm_b.acode_b_encode
 bcode_encode = perm_b.bcode_b_encode
 sort_factorization = perm_b.selection_sort_factorization
 sor = perm_b.sor_b
-phi = perm_b.psi
-phi_inverse = perm_b.psi_inverse
 
 
 def is_permutation(images: Sequence[int]) -> bool:
@@ -142,3 +140,13 @@ def bcode_decode(code: Sequence[int]) -> Perm:
     (2, 4, 5, 1, 3)
     """
     return perm_b._code_product(validate_code(code), False)
+
+
+def phi(p: Perm) -> Perm:
+    """perm_b.psi on a permutation; raises ValueError on anything else."""
+    return perm_b._psi(validate_permutation(p))
+
+
+def phi_inverse(p: Perm) -> Perm:
+    """perm_b.psi_inverse on a permutation; raises ValueError on anything else."""
+    return perm_b._psi_inverse(validate_permutation(p))

@@ -377,8 +377,8 @@ def lr_max_b(word: Sequence[int]) -> int:
 
 
 def nmin_b(s: SignedPerm) -> int:
-    """n minus rl-min: the letters beating some later letter in absolute
-    value, plus the bars.
+    """n minus rl-min: the positive letters beating some later letter in
+    absolute value, plus the bars.
 
     >>> nmin_b((2, -4, 5, 1, -3))
     4
@@ -498,7 +498,8 @@ def bcode_b_decode(code: Sequence[int]) -> SignedPerm:
 
 
 def psi(s: SignedPerm) -> SignedPerm:
-    """Transport bijection: decode the A-code of s as a B-code.
+    """Transport bijection: decode the A-code of s as a B-code; raises
+    ValueError on a non-member.
 
     Carries (inv_b, lmap_b_set, rmil_b_set) of s to
     (sor_b, lmap_b_set, cyc_b_set) of the image.
@@ -506,8 +507,19 @@ def psi(s: SignedPerm) -> SignedPerm:
     >>> psi((2, -4, 5, 1, -3))
     (2, -4, 5, -1, -3)
     """
+    return _psi(validate_signed(s))
+
+
+def _psi(s: SignedPerm) -> SignedPerm:
+    """psi of an element already known to be a signed permutation."""
     return _code_product(acode_b_encode(s), False)
 
 
 def psi_inverse(s: SignedPerm) -> SignedPerm:
+    """Inverse of psi; raises ValueError on a non-member."""
+    return _psi_inverse(validate_signed(s))
+
+
+def _psi_inverse(s: SignedPerm) -> SignedPerm:
+    """psi_inverse of an element already known to be a signed permutation."""
     return _acode_b_decode(bcode_b_encode(s))

@@ -137,8 +137,8 @@ def sor_d_prime(s: SignedPerm) -> int:
 
 
 def nmin_d(s: SignedPerm) -> int:
-    """Letters beating some later letter in absolute value, plus the bars on
-    letters other than 1.
+    """Positive letters beating some later letter in absolute value, plus
+    the bars on letters other than 1.
 
     >>> nmin_d((2, -4, 5, 1, -3))
     4
@@ -235,15 +235,27 @@ def fcode_decode(code: Sequence[int]) -> SignedPerm:
 
 
 def rho(s: SignedPerm) -> SignedPerm:
-    """Transport bijection: decode the deletion code as a generator code.
+    """Transport bijection: decode the deletion code as a generator code;
+    raises ValueError on a non-member.
 
     Carries (inv_d, nmin_d) of s to (sor_d, reflection_length_d) of the image.
 
     >>> rho((2, -4, 5, 1, -3))
     (-2, -4, 5, -1, -3)
     """
+    return _rho(validate_even_signed(s))
+
+
+def _rho(s: SignedPerm) -> SignedPerm:
+    """rho of an element already known to be even-signed."""
     return perm_b._code_product(_ecode_encode(s), True)
 
 
 def rho_inverse(s: SignedPerm) -> SignedPerm:
+    """Inverse of rho; raises ValueError on a non-member."""
+    return _rho_inverse(validate_even_signed(s))
+
+
+def _rho_inverse(s: SignedPerm) -> SignedPerm:
+    """rho_inverse of an element already known to be even-signed."""
     return perm_b._acode_b_decode(perm_b._sorting_code(s, True)[0], True)

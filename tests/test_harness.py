@@ -195,6 +195,108 @@ def test_corrupted_head_word_is_caught(monkeypatch):
             assert_enumeration_is_unrank(family, n)
 
 
+def decoded_tables(family, n):
+    """The unrank tables as decoding gives them: for every tail code, its
+    tail word and the head word of every head code under it."""
+    decode = harness._DECODERS[family]
+    heads, tails = harness._split_codes(family, n)
+    k = len(heads[0])
+    return len(heads), [
+        (decode(heads[0] + t)[k:], [decode(h + t)[:k] for h in heads])
+        for t in tails
+    ]
+
+
+def test_relabelled_tables_equal_the_decoded_ones():
+    # every head list is the list on 1..k relabelled, with place 1 flipped in
+    # D under a tail of odd bars; each equals what the decoder gives
+    groups = [(family, n) for family, ns in (
+        ("A", range(1, 9)), ("B", range(1, 7)), ("D", range(2, 8))) for n in ns]
+    for family, n in groups:
+        assert harness._unrank_tables(family, n) == decoded_tables(family, n), (
+            family, n)
+
+
+# the statistics each family's sweep counts by their split form
+SPLIT_NAMES = {
+    "A": {"inv", "rl-min", "lr-max", "nmin", "Lmap", "Rmil"},
+    "B": {"inv_B", "nmin_B", "nmax_B", "rl-min_B", "lr-max_B", "N", "Lmap_B",
+          "Rmil_B"},
+    "D": {"inv_D", "nmin_D", "N"},
+}
+
+
+def assert_split_forms_equal_their_kernels(family, n):
+    """Each split statistic's values, head part plus tail part, equal its
+    kernel's on every element, over the whole group and over ranges that
+    start and end inside a tail."""
+    stats = harness._statistics(
+        family, harness.INTEGER_STATISTICS, harness.SET_STATISTICS
+    )
+    split = {name for name, f in stats.items() if f in harness._SPLIT}
+    assert split == SPLIT_NAMES[family]
+    order = harness.group_order(family, n)
+    size = harness._unrank_tables(family, n)[0]
+    elements = list(harness.enumerate_group(family, n))
+    for name in sorted(split):
+        f = stats[name]
+        expected = list(map(f, elements))
+        assert list(harness._split_values(family, n, f, 0, order)) == expected, (
+            family, n, name)
+        for start, stop in ((1, order - 1), (size - 1, size + 1), (order, order)):
+            if 0 <= start <= stop <= order:
+                got = list(harness._split_values(family, n, f, start, stop))
+                assert got == expected[start:stop], (family, n, name, start)
+
+
+def test_split_forms_equal_their_kernels():
+    for family, ns in (("A", range(1, 9)), ("B", range(1, 7)), ("D", range(2, 7))):
+        for n in ns:
+            assert_split_forms_equal_their_kernels(family, n)
+
+
+@pytest.mark.skipif(
+    os.environ.get("COXCODES_ACCEPT_B7") != "1",
+    reason="set COXCODES_ACCEPT_B7=1 to prove the split forms on B7 and D7",
+)
+def test_split_forms_equal_their_kernels_on_b7_and_d7():
+    for family, n in (("B", 7), ("D", 7)):
+        assert_split_forms_equal_their_kernels(family, n)
+
+
+def test_broken_split_part_is_caught_and_its_witness_reproduces(monkeypatch):
+    # one head entry of inv_D's split, raised past every value inv_D takes:
+    # the sweep counts values no element has by its kernel, so only a witness
+    # judged by the values the sweep counted exists, and unrank replays it
+    head_part = harness._head_part
+    size, tails = harness._unrank_tables("D", 5)
+    first = tails[0][1]  # the first tail's head list
+
+    def broken(f, heads, fixed):
+        column = head_part(f, heads, fixed)
+        if f is perm_d.inv_d and heads is first:
+            column[1] += 100
+        return column
+
+    monkeypatch.setattr(harness, "_head_part", broken)
+    report = harness.run_check("type-d-mahonian", 5)
+    assert not report.passed
+    ce = report.counterexample
+    assert set(ce) == {"groups", "key", "count", "expected", "rank", "element"}
+    assert ce["groups"] == [["inv_D"], "gf_type_d_univariate"]
+    assert ce["expected"] == 0
+    element = harness.unrank("D", 5, ce["rank"])
+    assert element == tuple(ce["element"])
+    assert ce["key"] == [perm_d.inv_d(element) + 100]
+    assert ce["rank"] % size == 1 and tails[ce["rank"] // size][1] is first
+    assert harness.sweep("D", 5, ["inv_D"])[tuple(ce["key"])] == ce["count"]
+    # a replaced registry entry takes the per-element path, which the broken
+    # part does not reach
+    kernel = harness.INTEGER_STATISTICS["D"]["inv_D"]
+    monkeypatch.setitem(harness.INTEGER_STATISTICS["D"], "inv_D", lambda s: kernel(s))
+    assert harness.run_check("type-d-mahonian", 5).passed
+
+
 def test_enumerate_group_refuses_non_integer_bounds():
     # a bool is no rank, as for unrank: True used to start at rank 1
     for bounds in ((True,), (0, True), (False, 6), ("1",), (0, "6"), (1.0,), (0, 2.5)):

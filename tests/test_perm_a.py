@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxcodes import perm_a
+from coxcodes import perm_a, perm_b
 
 
 def all_perms(n):
@@ -238,6 +238,23 @@ def test_sort_factorization_reconstructs():
 def test_phi_golden():
     assert perm_a.phi((3, 1, 5, 2, 4)) == (3, 2, 5, 4, 1)
     assert perm_a.phi_inverse((3, 2, 5, 4, 1)) == (3, 1, 5, 2, 4)
+
+
+def test_phi_refuses_non_members():
+    # a signed word is no permutation, though perm_b.psi takes it
+    for bad in ((-1, 2), (1, 1, 1), (0, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            perm_a.phi(bad)
+    for s in all_perms(4):
+        assert perm_a.phi(s) == perm_b.psi(s)
+
+
+def test_phi_inverse_refuses_non_members():
+    for bad in ((-1, 2), (2, 2), (0, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            perm_a.phi_inverse(bad)
+    for s in all_perms(4):
+        assert perm_a.phi_inverse(s) == perm_b.psi_inverse(s)
 
 
 def test_code_round_trips_exhaustive():

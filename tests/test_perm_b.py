@@ -376,6 +376,22 @@ def test_psi_golden():
     assert perm_b.psi_inverse((2, -4, 5, -1, -3)) == (2, -4, 5, 1, -3)
 
 
+def test_psi_refuses_non_members():
+    for bad in ((1, 1, 1), (0, 1), (1, 3), (2, -2), (1, True)):
+        with pytest.raises(ValueError):
+            perm_b.psi(bad)
+    for s in all_signed(3):
+        assert perm_b.psi(s) == perm_b._psi(s)
+
+
+def test_psi_inverse_refuses_non_members():
+    for bad in ((1, 1, 1), (0, 1), (1, 3), (2, -2), (1.0,)):
+        with pytest.raises(ValueError):
+            perm_b.psi_inverse(bad)
+    for s in all_signed(3):
+        assert perm_b.psi_inverse(s) == perm_b._psi_inverse(s)
+
+
 def test_code_round_trips_exhaustive():
     for n in range(1, 5):
         for s in all_signed(n):

@@ -92,6 +92,18 @@ def test_kernels_match_reference_definitions_exhaustive():
             )
 
 
+def test_nmin_d_matches_its_definition_exhaustive():
+    # the positive letters beating some later letter in absolute value, plus
+    # the bars on letters other than 1, counted place by place
+    for n in range(2, 7):
+        for s in all_even_signed(n):
+            beating = sum(
+                1 for i, x in enumerate(s) if x > 0 and any(abs(y) < x for y in s[i + 1:])
+            )
+            bars = sum(1 for x in s if x < 0 and x != -1)
+            assert perm_d.nmin_d(s) == beating + bars, s
+
+
 def test_sor_d_golden():
     s = (-2, -4, 5, -1, -3)
     assert perm_d.sor_d(s) == 11
@@ -184,6 +196,22 @@ def test_validate_code_d_edge_cases(code, message):
 def test_rho_golden():
     assert perm_d.rho((2, -4, 5, 1, -3)) == (-2, -4, 5, -1, -3)
     assert perm_d.rho_inverse((-2, -4, 5, -1, -3)) == (2, -4, 5, 1, -3)
+
+
+def test_rho_refuses_non_members():
+    for bad in ((-1, 2), (2, 3, -1), (1, 1), (0, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            perm_d.rho(bad)
+    for s in all_even_signed(4):
+        assert perm_d.rho(s) == perm_d._rho(s)
+
+
+def test_rho_inverse_refuses_non_members():
+    for bad in ((-1, 2), (-1,), (2, 2), (0, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            perm_d.rho_inverse(bad)
+    for s in all_even_signed(4):
+        assert perm_d.rho_inverse(s) == perm_d._rho_inverse(s)
 
 
 def test_code_round_trips_exhaustive():
