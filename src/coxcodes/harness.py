@@ -11,8 +11,10 @@ even, so D's rank is B's rank halved.  unrank decodes one code;
 enumerate_group decodes none per element: it joins head words (places
 1..k, fixed by c_1..c_k) to tail words (places k+1..n, fixed by
 c_{k+1}..c_n), tabulated once per group (_unrank_tables), every head list
-relabelled from one.  Supported ranks: A up to 9, B up to 8, D from 2 up
-to 8; anything larger is refused outright rather than truncated.
+relabelled from one.  One walker, _blocks, reads those tables a tail at a
+time, for enumeration, for a sweep's columns and for its witness.
+Supported ranks: A up to 9, B up to 8, D from 2 up to 8; anything larger
+is refused outright rather than truncated.
 
 Public ``rank`` validates its input (length n, a member of the group) and
 reads the code's digits back as unrank writes them.  The BFS behind the
@@ -32,18 +34,19 @@ of groups times the group order; a statistic that splits over head and
 tail (see _sweep) is counted off the same tables.  A failure gives
 ``groups`` (the group and its reference: the first group or the formula),
 the value tuple ``key``, its ``count`` and ``expected``, and the ``rank``
-and ``element`` of the lowest-rank element with the key, as counted.
+and ``element`` of the lowest-rank element with the key, read off the
+sweep's own per-tail columns (_witness).
 
-The pointwise checks (transport, oracles, codes, type-d-sor-prime), and the
-search for a distribution check's witness, are cases of one runner, _scan,
-the only pointwise walk over the group.  It takes ranks in order, and
-case(r, el) judges the element el of rank r by its tests, each giving None
-or a fault; the scan stops at the first fault and reports it with ``rank``
-first, so unrank(family, n, rank) gives the element back.  ``checked``
-counts the tests taken, that one included.  A case depends on (r, el)
-alone: an oracle reads its table at r, and a codes check takes the code of
-rank r (the code whose digits are r, split as _split_codes splits it) and
-then el.  The runner is sequential; workers reaches the sweeps only.
+The pointwise checks (transport, oracles, codes, type-d-sor-prime) are cases
+of one runner, _scan, the only pointwise walk over the group.  It takes
+ranks in order, and case(r, el) judges the element el of rank r by its
+tests, each giving None or a fault; the scan stops at the first fault and
+reports it with ``rank`` first, so unrank(family, n, rank) gives the
+element back.  ``checked`` counts the tests taken, that one included.  A
+case depends on (r, el) alone: an oracle reads its table at r, and a codes
+check takes the code of rank r (the code whose digits are r, split as
+_split_codes splits it) and then el.  The runner is sequential; workers
+reaches the sweeps only.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ def _unrank_tables(family: str, n: int) -> tuple[int, list]:
     in D place 1 also flips when the tail has an odd number of bars.  One
     list serves every tail with that V (and in D parity): one decode per
     tail and per head code.  The cache keeps the last group's tables, which
-    a sweep range reads for its elements and its split columns, unchanged.
+    _blocks reads for enumeration, the sweep and the witness, unchanged.
     """
     decode = _DECODERS[family]
     head_codes, tail_codes = _split_codes(family, n)
@@ -262,10 +265,10 @@ def enumerate_group(
 ) -> Iterator[tuple[int, ...]]:
     """Yield elements of ranks start..stop-1, each exactly once, in order.
 
-    Disjoint rank ranges give disjoint element streams, so a sweep can be
-    split into independent chunks.  Elements are joined from the head and
-    tail tables of _unrank_tables, and a range starts at its tail directly,
-    so a chunk's start costs O(1).
+    Disjoint rank ranges give disjoint element streams.  The elements are
+    those of _blocks, joined from the head and tail tables of _unrank_tables
+    a tail at a time, and a range starts at its tail directly, so its start
+    costs O(1).
     """
     order = group_order(family, n)
     if stop is None:
@@ -275,19 +278,8 @@ def enumerate_group(
             raise ValueError(f"rank bound {bound!r} is not an integer")
     if not 0 <= start <= stop <= order:
         raise ValueError(f"bad range [{start}, {stop}) for order {order}")
-    size, tails = _unrank_tables(family, n)
-    yield from _join(size, tails.__getitem__, start, stop)
-
-
-def _join(size, tail_at, start, stop) -> Iterator:
-    """heads[j] + fixed for the ranks i * size + j in start..stop-1, in order,
-    with (fixed, heads) = tail_at(i): elements, or split values."""
-    for i in range(start // size, -(-stop // size)):
-        fixed, heads = tail_at(i)
-        lo, hi = start - i * size, stop - i * size
-        if lo > 0 or hi < size:  # the range starts or ends inside this tail
-            heads = heads[max(lo, 0):hi]
-        yield from map(add, heads, itertools.repeat(fixed))
+    for _, elements, _ in _blocks(family, n, (), start, stop):
+        yield from elements
 
 
 # registry order is the order `coxcodes stats` prints, integer then set
@@ -419,11 +411,6 @@ def sweep(family: str, n: int, names: Sequence[str], workers: int = 1) -> Counte
     return _sweep(family, n, [names], workers)[0]
 
 
-# elements evaluated together: bounds a sweep's working memory, whatever the
-# group order
-_BLOCK = 1024
-
-
 def _sweep(family, n, groups, workers) -> list[Counter]:
     """One sweep over the union of the groups' statistics, counting the value
     tuple of each group of names separately, not the tuple of their union, so
@@ -487,45 +474,43 @@ def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
     """The sweep over ranks start..stop-1; names are canonical, and they, not
     the statistic functions, are what crosses into a worker process."""
     counts = [Counter() for _ in places]
-    columns = _column_reader(family, n, names, start, stop)
-    elements = enumerate_group(family, n, start, stop)
-    while block := list(itertools.islice(elements, _BLOCK)):
-        values = columns(block)
+    for _, _, columns in _blocks(family, n, names, start, stop):
         for count, place in zip(counts, places):
-            count.update(zip(*(values[i] for i in place)))
+            count.update(zip(*(columns[i] for i in place)))
     return counts
 
 
-def _column_reader(family, n, names, start, stop) -> Callable[[list], list]:
-    """The function taking each next block of the range's elements, in rank
-    order, to the named statistics' columns as the sweep counts them: read
-    off _split_values for a kernel in _SPLIT, by _columns for the rest."""
-    stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
-    split = {i: _split_values(family, n, stats[name], start, stop)
-             for i, name in enumerate(names) if stats[name] in _SPLIT}
-    called = [name for i, name in enumerate(names) if i not in split]
-
-    def columns(block):
-        by_call = iter(_columns(family, called, block))
-        return [list(itertools.islice(split[i], len(block))) if i in split
-                else next(by_call) for i in range(len(names))]
-
-    return columns
-
-
-def _split_values(family, n, f, start, stop) -> Iterator:
-    """f's values on ranks start..stop-1 in order, joined as the words are:
-    one head column per head list, one tail part per tail (see _sweep)."""
+def _blocks(family, n, names, start, stop) -> Iterator[tuple[int, list, list]]:
+    """The one walk over the unrank tables: for each tail that the ranks
+    start..stop-1 meet, in rank order, (r, elements, columns), where r is the
+    rank of the tail's first element in the range, elements its elements
+    there (heads[lo:hi] joined to fixed) and columns each named statistic's
+    values on them, as the sweep counts them.  A kernel in _SPLIT is read as
+    its head column, one per head list, plus the tail's part f(g' + fixed),
+    g' being heads[0] barred (see _sweep); any other registry entry is
+    called on each element, a set value being the increasing tuple it
+    returns.  A block holds at most the
+    head-code count of elements, whatever the group order."""
     size, tails = _unrank_tables(family, n)
-    head_columns: dict[tuple, list] = {}  # keyed by a head list's first word
-
-    def tail_at(i):
+    stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
+    fs = [stats[name] for name in names]
+    head_columns: dict[tuple, list] = {}  # keyed by f and a head list's first word
+    for i in range(start // size, -(-stop // size)):
         fixed, heads = tails[i]
-        if heads[0] not in head_columns:
-            head_columns[heads[0]] = _head_part(f, heads, fixed)
-        return f(tuple(-abs(x) for x in heads[0]) + fixed), head_columns[heads[0]]
-
-    return _join(size, tail_at, start, stop)
+        lo, hi = max(start - i * size, 0), min(stop - i * size, size)
+        elements = list(map(add, heads[lo:hi], itertools.repeat(fixed)))
+        columns = []
+        for f in fs:
+            if f in _SPLIT:
+                key = f, heads[0]
+                if key not in head_columns:
+                    head_columns[key] = _head_part(f, heads, fixed)
+                part = f(tuple(-abs(x) for x in heads[0]) + fixed)
+                column = head_columns[key][lo:hi]
+                columns.append(list(map(add, column, itertools.repeat(part))))
+            else:
+                columns.append(list(map(f, elements)))
+        yield i * size + lo, elements, columns
 
 
 def _head_part(f, heads, fixed) -> list:
@@ -535,13 +520,6 @@ def _head_part(f, heads, fixed) -> list:
     column = [f(h + barred_tail) for h in heads]
     c = f(tuple(-abs(x) for x in heads[0]) + barred_tail)  # a set's is ()
     return [v - c for v in column] if c else column
-
-
-def _columns(family, names, block) -> list[list]:
-    """Each named statistic's values on the block, by calling its registry
-    entry on each element; a set value is the increasing tuple it returns."""
-    stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
-    return [list(map(stats[name], block)) for name in names]
 
 
 def _plain(value):
@@ -849,16 +827,14 @@ def _check_joint(family, groups, n, workers=1, formula=None):
 
 
 def _witness(family, n, names, key) -> dict:
-    """Rank and element of the first element whose names' values, as the
-    sweep counts them, are key: the fault of a scan whose one test fails
-    there.  The scan takes every rank in order, in step with the reader."""
-    columns = _column_reader(family, n, names, 0, group_order(family, n))
-
-    def case(r, el):
-        found = next(zip(*columns([el]))) == key
-        return ({"element": list(el)} if found else None,)
-
-    return _scan("", family, n, case).counterexample or {}
+    """Rank and element of the lowest-rank element whose names' values are
+    key, read off the sweep's own per-tail blocks, so the values are those
+    the sweep counted; empty if no element has them."""
+    for r, elements, columns in _blocks(family, n, names, 0, group_order(family, n)):
+        for j, values in enumerate(zip(*columns)):
+            if values == key:
+                return {"rank": r + j, "element": list(elements[j])}
+    return {}
 
 
 def _check_type_d_sor_prime(n, workers=1):

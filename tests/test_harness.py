@@ -238,15 +238,17 @@ def assert_split_forms_equal_their_kernels(family, n):
     order = harness.group_order(family, n)
     size = harness._unrank_tables(family, n)[0]
     elements = list(harness.enumerate_group(family, n))
-    for name in sorted(split):
-        f = stats[name]
-        expected = list(map(f, elements))
-        assert list(harness._split_values(family, n, f, 0, order)) == expected, (
-            family, n, name)
-        for start, stop in ((1, order - 1), (size - 1, size + 1), (order, order)):
-            if 0 <= start <= stop <= order:
-                got = list(harness._split_values(family, n, f, start, stop))
-                assert got == expected[start:stop], (family, n, name, start)
+    names = sorted(split)
+    expected = [list(map(stats[name], elements)) for name in names]
+    for start, stop in ((0, order), (1, order - 1), (size - 1, size + 1),
+                        (order, order)):
+        if 0 <= start <= stop <= order:
+            got = [[] for _ in names]
+            for _, _, columns in harness._blocks(family, n, names, start, stop):
+                for column, values in zip(got, columns):
+                    column.extend(values)
+            for name, column, values in zip(names, got, expected):
+                assert column == values[start:stop], (family, n, name, start)
 
 
 def test_split_forms_equal_their_kernels():
@@ -383,7 +385,7 @@ def test_set_pair_distribution():
 
 
 def test_sweep_groups_count_marginals_of_the_union():
-    # B5 spans several evaluation blocks; two workers split it in the middle
+    # B5 spans 80 tails of 48 elements; two workers split it in the middle
     names = ["inv_B", "lp_B", "Rmil_B"]
     full = harness.sweep("B", 5, names)
     groups = [("inv_B", "lp_B"), ("Rmil_B",), ("lp_B", "inv_B")]
@@ -395,6 +397,39 @@ def test_sweep_groups_count_marginals_of_the_union():
         expected.append(marginal)
     for workers in (1, 2):
         assert harness._sweep("B", 5, groups, workers) == expected
+
+
+@pytest.mark.parametrize("family, n, names", [
+    ("A", 6, ("inv", "sor", "Lmap", "Cyc")),
+    ("B", 5, ("inv_B", "l'_B", "Rmil_B", "Cyc_B")),
+    ("D", 5, ("nmin_D", "sor_D", "N")),
+])
+def test_sweep_ranges_split_inside_a_tail_add_up(monkeypatch, family, n, names):
+    # two workers split every group on a tail boundary, so split here at m
+    # inside a tail, split and per-element statistics mixed: the two ranges'
+    # counts add up to the whole group's, and no block is longer than a tail
+    size = harness._unrank_tables(family, n)[0]
+    order = harness.group_order(family, n)
+    m = order // 2 + 1
+    assert m % size != 0
+    lengths = []
+    blocks = harness._blocks
+
+    def logged(*args):
+        for block in blocks(*args):
+            lengths.append(len(block[1]))
+            yield block
+
+    monkeypatch.setattr(harness, "_blocks", logged)
+    places = (tuple(range(len(names))), (2, 0), (1,))
+    whole = harness._sweep_range(family, n, names, places, 0, order)
+    assert lengths == [size] * (order // size)
+    lengths.clear()
+    low = harness._sweep_range(family, n, names, places, 0, m)
+    high = harness._sweep_range(family, n, names, places, m, order)
+    assert [a + b for a, b in zip(low, high)] == whole
+    assert max(lengths) <= size and sum(lengths) == order
+    assert m % size in lengths and size - m % size in lengths
 
 
 def test_sweep_refuses_a_bare_name():
@@ -482,15 +517,17 @@ def test_every_distribution_check_can_fail(monkeypatch, name, n, stat):
     key = tuple(tuple(v) if isinstance(v, list) else v for v in ce["key"])
     group = ce["groups"][0]
     assert harness.sweep(family, n, group)[key] == ce["count"]
-    assert harness._columns(family, group, [tuple(ce["element"])]) == [
-        [v] for v in key
-    ]
+    stats = harness._statistics(
+        family, harness.INTEGER_STATISTICS, harness.SET_STATISTICS
+    )
+    assert tuple(stats[name](tuple(ce["element"])) for name in group) == key
 
 
 def test_every_check_walks_the_group_once(monkeypatch):
-    # a pointwise check walks the group only inside the one runner, _scan, and
-    # a distribution check only in its sweep, unless it fails: then the
-    # runner walks it once more to find the witness
+    # every walk over the group is a run of the block walker, _blocks: a
+    # pointwise check runs it only inside the one runner, _scan, and a
+    # distribution check only in its sweep, unless it fails: then the
+    # witness runs it once more
     calls = []
 
     def logged(label, f):
@@ -499,8 +536,7 @@ def test_every_check_walks_the_group_once(monkeypatch):
             return f(*args, **kwargs)
         return wrapper
 
-    walk = logged("walk", harness.enumerate_group)
-    monkeypatch.setattr(harness, "enumerate_group", walk)
+    monkeypatch.setattr(harness, "_blocks", logged("walk", harness._blocks))
     monkeypatch.setattr(harness, "_scan", logged("scan", harness._scan))
     distribution = {name for name, _, _ in _BROKEN}  # all ten of them
     for name in harness.CHECKS:
@@ -513,7 +549,7 @@ def test_every_check_walks_the_group_once(monkeypatch):
             break_statistic(broken, name, n, stat)
             calls.clear()
             assert not harness.run_check(name, n).passed, name
-            assert calls == ["walk", "scan", "walk"], name
+            assert calls == ["walk", "walk"], name
 
 
 def test_unsorted_set_value_is_caught(monkeypatch):
