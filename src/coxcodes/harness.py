@@ -12,7 +12,7 @@ enumerate_group decodes none per element: it joins head words (places
 1..k, fixed by c_1..c_k) to tail words (places k+1..n, fixed by
 c_{k+1}..c_n), tabulated once per group (_unrank_tables), every head list
 relabelled from one.  One walker, _blocks, reads those tables a tail at a
-time, for enumeration, for a sweep's columns and for its witness.
+time, for enumeration, for a sweep's columns and for every scan.
 Supported ranks: A up to 9, B up to 8, D from 2 up to 8; anything larger
 is refused outright rather than truncated.
 
@@ -34,19 +34,18 @@ of groups times the group order; a statistic that splits over head and
 tail (see _sweep) is counted off the same tables.  A failure gives
 ``groups`` (the group and its reference: the first group or the formula),
 the value tuple ``key``, its ``count`` and ``expected``, and the ``rank``
-and ``element`` of the lowest-rank element with the key, read off the
-sweep's own per-tail columns (_witness).
+and ``element`` of the lowest-rank element with the key.
 
-The pointwise checks (transport, oracles, codes, type-d-sor-prime) are cases
-of one runner, _scan, the only pointwise walk over the group.  It takes
-ranks in order, and case(r, el) judges the element el of rank r by its
-tests, each giving None or a fault; the scan stops at the first fault and
-reports it with ``rank`` first, so unrank(family, n, rank) gives the
-element back.  ``checked`` counts the tests taken, that one included.  A
-case depends on (r, el) alone: an oracle reads its table at r, and a codes
-check takes the code of rank r (the code whose digits are r, split as
-_split_codes splits it) and then el.  The runner is sequential; workers
-reaches the sweeps only.
+The pointwise checks (transport, oracles, codes, type-d-sor-prime) and that
+witness are cases of one runner, _scan, the only loop that judges an
+element.  It reads _blocks in rank order: case(r, el, values) judges the
+element el of rank r, values being its named statistics as the sweep
+counts them, by tests that each give None or a fault; the scan stops at the
+first fault and reports it with ``rank`` first, so unrank(family, n, rank)
+gives the element back.  ``checked`` counts the tests taken, that one
+included.  An oracle reads its table at r, and a codes check takes the
+code of rank r (the code whose digits are r, split as _split_codes splits
+it) and then el.  The runner is sequential; workers reaches the sweeps only.
 """
 
 from __future__ import annotations
@@ -205,7 +204,7 @@ def _unrank_tables(family: str, n: int) -> tuple[int, list]:
     in D place 1 also flips when the tail has an odd number of bars.  One
     list serves every tail with that V (and in D parity): one decode per
     tail and per head code.  The cache keeps the last group's tables, which
-    _blocks reads for enumeration, the sweep and the witness, unchanged.
+    _blocks reads for enumeration, the sweep and every scan, unchanged.
     """
     decode = _DECODERS[family]
     head_codes, tail_codes = _split_codes(family, n)
@@ -263,7 +262,7 @@ def rank(family: str, n: int, element: Sequence[int]) -> int:
 def enumerate_group(
     family: str, n: int, start: int = 0, stop: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Yield elements of ranks start..stop-1, each exactly once, in order.
+    """A generator of the elements of ranks start..stop-1, once each, in order.
 
     Disjoint rank ranges give disjoint element streams.  The elements are
     those of _blocks, joined from the head and tail tables of _unrank_tables
@@ -278,8 +277,8 @@ def enumerate_group(
             raise ValueError(f"rank bound {bound!r} is not an integer")
     if not 0 <= start <= stop <= order:
         raise ValueError(f"bad range [{start}, {stop}) for order {order}")
-    for _, elements, _ in _blocks(family, n, (), start, stop):
-        yield from elements
+    return (el for _, elements, _ in _blocks(family, n, (), start, stop)
+            for el in elements)
 
 
 # registry order is the order `coxcodes stats` prints, integer then set
@@ -568,19 +567,22 @@ class VerifyReport:
         }
 
 
-def _scan(name, family, n, case, details=None) -> VerifyReport:
+def _scan(name, family, n, case, details=None, names=()) -> VerifyReport:
     """The report of a pointwise check, the one walk over the group behind
-    them all: for each rank r in order, case(r, el) gives None or a fault
-    for each of its tests on the element el of rank r, in order.  The scan
+    them all: for each rank r in order, case(r, el, values) gives None or a
+    fault for each of its tests on the element el of rank r, values being
+    the named statistics on el as the sweep counts them (_blocks).  The scan
     stops at the first fault, reported with "rank": r first, and checked
     counts the tests taken, that one included."""
     checked = 0
-    for r, el in enumerate(enumerate_group(family, n)):
-        for fault in case(r, el):
-            checked += 1
-            if fault is not None:
-                fault = {"rank": r, **fault}
-                return VerifyReport(name, family, n, False, checked, fault, details)
+    for first, block, columns in _blocks(family, n, names, 0, group_order(family, n)):
+        rows = zip(*columns) if names else itertools.repeat(())
+        for r, el, values in zip(itertools.count(first), block, rows):
+            for fault in case(r, el, values):
+                checked += 1
+                if fault is not None:
+                    fault = {"rank": r, **fault}
+                    return VerifyReport(name, family, n, False, checked, fault, details)
     return VerifyReport(name, family, n, True, checked, None, details)
 
 
@@ -639,7 +641,7 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
     pairs = _transport_pairs(bijection)
     member = _MEMBERS[family]
 
-    def case(r, el):
+    def case(r, el, values):
         image = func(el)
         if len(image) != n or not member(image):
             fault = {"reason": "image not in group"}
@@ -651,8 +653,8 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
             else:
                 fault = {"inverse": list(back), "reason": "inverse mismatch"}
         else:
-            for a, b, fa, fb in pairs:
-                va, vb = fa(el), fb(image)
+            for (a, b, _, fb), va in zip(pairs, values):
+                vb = fb(image)
                 if va != vb:
                     fault = {"statistic": f"{a} -> {b}",
                              "source_value": _plain(va),
@@ -665,7 +667,7 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
     pairs_text = ", ".join(f"{a} -> {b}" for a, b, _, _ in pairs)
     return _scan(
         f"transport-{bijection}", family, n, case,
-        {"bijection": bijection, "pairs": pairs_text},
+        {"bijection": bijection, "pairs": pairs_text}, [a for a, *_ in pairs],
     )
 
 
@@ -776,8 +778,9 @@ def cayley_distance(
 
 
 # The checks in CHECKS leave the report's name to run_check, and take workers
-# even where they run in one process.  They look up the public functions they
-# call at call time, so that wrappers put on those apply.
+# even where they run in one process.  They read statistics as the sweep does
+# and look up the other functions they call at call time, so that a replaced
+# registry entry or a wrapper put on a public function applies.
 
 
 def _check_joint(family, groups, n, workers=1, formula=None):
@@ -809,11 +812,14 @@ def _check_joint(family, groups, n, workers=1, formula=None):
             keys = count.keys() | expected.keys()
             differ = [k for k in keys if count[k] != expected[k]]
             key = min(differ, key=lambda k: (count[k] < expected[k], k))
+            # the lowest rank whose values, as the sweep counts them, are key
+            witness = _scan("", family, n, lambda r, el, values: (
+                {"element": list(el)} if values == key else None,), names=g)
             counterexample = {
                 "groups": [list(g), formula or list(groups[0])],
                 "key": [_plain(v) for v in key],
                 "count": count[key], "expected": expected[key],
-                **_witness(family, n, g, key),
+                **(witness.counterexample or {}),
             }
     if listed:
         label = "pairs" if all(len(g) == 2 for g in listed) else "groups"
@@ -826,23 +832,12 @@ def _check_joint(family, groups, n, workers=1, formula=None):
     )
 
 
-def _witness(family, n, names, key) -> dict:
-    """Rank and element of the lowest-rank element whose names' values are
-    key, read off the sweep's own per-tail blocks, so the values are those
-    the sweep counted; empty if no element has them."""
-    for r, elements, columns in _blocks(family, n, names, 0, group_order(family, n)):
-        for j, values in enumerate(zip(*columns)):
-            if values == key:
-                return {"rank": r + j, "element": list(elements[j])}
-    return {}
-
-
 def _check_type_d_sor_prime(n, workers=1):
-    def case(r, el):
-        a, b = perm_d.sor_d(el), perm_d.sor_d_prime(el)
+    def case(r, el, values):
+        a, b = values
         return (None if a == b else {"element": list(el), "sor_D": a, "sor'_D": b},)
 
-    return _scan("", "D", n, case)
+    return _scan("", "D", n, case, names=("sor_D", "sor'_D"))
 
 
 def _transport(bijection, n, workers=1):
@@ -851,17 +846,15 @@ def _transport(bijection, n, workers=1):
 
 def _check_oracle(family, set_name, stat_name, n, workers=1):
     table = cayley_distance_table(family, n, set_name)
-    _, stat = integer_statistic(family, stat_name)
 
-    def case(r, el):
-        got, expected = stat(el), table[r]
+    def case(r, el, values):
+        (got,), expected = values, table[r]
         return (None if got == expected else {
             "element": list(el), stat_name: got, f"distance over {set_name}": expected
         },)
 
-    return _scan(
-        "", family, n, case, {"generating_set": set_name, "statistic": stat_name}
-    )
+    details = {"generating_set": set_name, "statistic": stat_name}
+    return _scan("", family, n, case, details, (stat_name,))
 
 
 _CODE_PAIRS = {
@@ -887,7 +880,7 @@ def _check_codes(family, n, workers=1):
     pairs = _CODE_PAIRS[family]
     heads, tails = _split_codes(family, n)
 
-    def case(r, el):
+    def case(r, el, values):
         # the code whose digits are r, and then the element of rank r
         code = heads[r % len(heads)] + tails[r // len(heads)]
         for label, encode, decode in pairs:

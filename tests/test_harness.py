@@ -292,18 +292,35 @@ def test_broken_split_part_is_caught_and_its_witness_reproduces(monkeypatch):
     assert ce["key"] == [perm_d.inv_d(element) + 100]
     assert ce["rank"] % size == 1 and tails[ce["rank"] // size][1] is first
     assert harness.sweep("D", 5, ["inv_D"])[tuple(ce["key"])] == ce["count"]
+    # the pointwise checks read inv_D as the sweep reads it, so the same
+    # broken entry fails them at the first element it reaches
+    for name, image in (("oracle-length-d", "distance over S^D"),
+                        ("type-d-transport", "image_value")):
+        report = harness.run_check(name, 5)
+        assert not report.passed, name
+        ce = report.counterexample
+        assert replays("D", 5, ce)
+        assert ce["rank"] % size == 1 and tails[ce["rank"] // size][1] is first
+        got = ce["inv_D" if image.startswith("distance") else "source_value"]
+        element = tuple(ce["element"])
+        assert got == perm_d.inv_d(element) + 100 and ce[image] == got - 100, name
     # a replaced registry entry takes the per-element path, which the broken
     # part does not reach
     kernel = harness.INTEGER_STATISTICS["D"]["inv_D"]
     monkeypatch.setitem(harness.INTEGER_STATISTICS["D"], "inv_D", lambda s: kernel(s))
-    assert harness.run_check("type-d-mahonian", 5).passed
+    for name in ("type-d-mahonian", "oracle-length-d", "type-d-transport"):
+        assert harness.run_check(name, 5).passed, name
 
 
 def test_enumerate_group_refuses_non_integer_bounds():
-    # a bool is no rank, as for unrank: True used to start at rank 1
+    # a bool is no rank, as for unrank: True used to start at rank 1; the
+    # call itself refuses, before any element is asked for
     for bounds in ((True,), (0, True), (False, 6), ("1",), (0, "6"), (1.0,), (0, 2.5)):
         with pytest.raises(ValueError):
-            list(harness.enumerate_group("A", 3, *bounds))
+            harness.enumerate_group("A", 3, *bounds)
+    for family, n in (("X", 3), ("A", 10)):
+        with pytest.raises(ValueError):
+            harness.enumerate_group(family, n)
     assert list(harness.enumerate_group("A", 3, 0, None)) == list(
         harness.enumerate_group("A", 3)
     )
@@ -526,8 +543,8 @@ def test_every_distribution_check_can_fail(monkeypatch, name, n, stat):
 def test_every_check_walks_the_group_once(monkeypatch):
     # every walk over the group is a run of the block walker, _blocks: a
     # pointwise check runs it only inside the one runner, _scan, and a
-    # distribution check only in its sweep, unless it fails: then the
-    # witness runs it once more
+    # distribution check only in its sweep, unless it fails: then its
+    # witness is one more scan
     calls = []
 
     def logged(label, f):
@@ -549,7 +566,7 @@ def test_every_check_walks_the_group_once(monkeypatch):
             break_statistic(broken, name, n, stat)
             calls.clear()
             assert not harness.run_check(name, n).passed, name
-            assert calls == ["walk", "walk"], name
+            assert calls == ["walk", "scan", "walk"], name
 
 
 def test_unsorted_set_value_is_caught(monkeypatch):
@@ -959,22 +976,32 @@ def test_parallel_workers_capped_at_cpu_count(monkeypatch):
     assert pools == [2]
 
 
-def test_broken_length_makes_its_oracle_fail(monkeypatch):
-    inv_b = harness.INTEGER_STATISTICS["B"]["inv_B"]
-    target = harness.unrank("B", 4, 100)
-    monkeypatch.setitem(
-        harness.INTEGER_STATISTICS["B"], "inv_B",
-        lambda s: inv_b(s) + (s == target),
-    )
-    report = harness.run_check("oracle-length-b", 4)
+# each oracle with its family, statistic and generating set
+_ORACLES = [
+    ("oracle-length-b", "B", "inv_B", "S^B"),
+    ("oracle-length-d", "D", "inv_D", "S^D"),
+    ("oracle-reflection-length-b", "B", "l'_B", "T^B"),
+    ("oracle-reflection-length-d", "D", "lt'_D", "T^D"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, family, stat, set_name", _ORACLES, ids=[c[0] for c in _ORACLES]
+)
+def test_broken_length_makes_its_oracle_fail(monkeypatch, name, family, stat, set_name):
+    kernel = harness.INTEGER_STATISTICS[family][stat]
+    assert break_statistic(monkeypatch, name, 4, stat) == family
+    r = harness.group_order(family, 4) // 2 + 1
+    target = harness.unrank(family, 4, r)
+    report = harness.run_check(name, 4)
     assert not report.passed
     assert report.counterexample == {
-        "rank": 100,
+        "rank": r,
         "element": list(target),
-        "inv_B": inv_b(target) + 1,
-        "distance over S^B": inv_b(target),
+        stat: kernel(target) + 1,
+        f"distance over {set_name}": kernel(target),
     }
-    assert replays("B", 4, report.counterexample)
+    assert replays(family, 4, report.counterexample)
 
 
 def test_bfs_refuses_large_groups():
@@ -1075,8 +1102,9 @@ def test_every_check_refuses_out_of_range_n(monkeypatch):
 def test_broken_sor_prime_makes_its_check_fail(monkeypatch):
     sor_d_prime = perm_d.sor_d_prime
     target = harness.unrank("D", 4, 77)
-    monkeypatch.setattr(
-        perm_d, "sor_d_prime", lambda s: sor_d_prime(s) + (s == target)
+    monkeypatch.setitem(
+        harness.INTEGER_STATISTICS["D"], "sor'_D",
+        lambda s: sor_d_prime(s) + (s == target),
     )
     report = harness.run_check("type-d-sor-prime", 4)
     assert not report.passed
