@@ -76,7 +76,6 @@ __all__ = [
     "set_statistic_names",
     "joint_distribution",
     "VerifyReport",
-    "verify_transport",
     "BIJECTIONS",
     "generating_set",
     "GENERATING_SET_NAMES",
@@ -567,13 +566,14 @@ class VerifyReport:
         }
 
 
-def _scan(name, family, n, case, details=None, names=()) -> VerifyReport:
+def _scan(family, n, case, details=None, names=()) -> VerifyReport:
     """The report of a pointwise check, the one walk over the group behind
     them all: for each rank r in order, case(r, el, values) gives None or a
     fault for each of its tests on the element el of rank r, values being
     the named statistics on el as the sweep counts them (_blocks).  The scan
     stops at the first fault, reported with "rank": r first, and checked
-    counts the tests taken, that one included."""
+    counts the tests taken, that one included.  The report is unnamed:
+    run_check alone names a report."""
     checked = 0
     for first, block, columns in _blocks(family, n, names, 0, group_order(family, n)):
         rows = zip(*columns) if names else itertools.repeat(())
@@ -582,8 +582,8 @@ def _scan(name, family, n, case, details=None, names=()) -> VerifyReport:
                 checked += 1
                 if fault is not None:
                     fault = {"rank": r, **fault}
-                    return VerifyReport(name, family, n, False, checked, fault, details)
-    return VerifyReport(name, family, n, True, checked, None, details)
+                    return VerifyReport("", family, n, False, checked, fault, details)
+    return VerifyReport("", family, n, True, checked, None, details)
 
 
 # bijection name -> (family, core, inverse core, [(source stat, image stat)],
@@ -622,7 +622,7 @@ def _transport_pairs(bijection: str) -> list[tuple]:
     return [(a, b, stats[a], stats[b]) for a, b in int_pairs + set_pairs]
 
 
-def verify_transport(bijection: str, n: int) -> VerifyReport:
+def _check_transport(bijection, n, workers=1):
     """Check pointwise statistic transport and bijectivity on the whole group.
 
     Each image must be a member of the group, be mapped back to its source
@@ -632,11 +632,6 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
     inverse returns another member with the same image, and as an inverse
     mismatch otherwise.
     """
-    if bijection not in BIJECTIONS:
-        raise ValueError(
-            f"unknown bijection {bijection!r}; choose from: "
-            + ", ".join(sorted(BIJECTIONS))
-        )
     family, func, inv_func = BIJECTIONS[bijection][:3]
     pairs = _transport_pairs(bijection)
     member = _MEMBERS[family]
@@ -666,7 +661,7 @@ def verify_transport(bijection: str, n: int) -> VerifyReport:
 
     pairs_text = ", ".join(f"{a} -> {b}" for a, b, _, _ in pairs)
     return _scan(
-        f"transport-{bijection}", family, n, case,
+        family, n, case,
         {"bijection": bijection, "pairs": pairs_text}, [a for a, *_ in pairs],
     )
 
@@ -777,10 +772,12 @@ def cayley_distance(
     return cayley_distance_table(family, n, set_name)[r]
 
 
-# The checks in CHECKS leave the report's name to run_check, and take workers
-# even where they run in one process.  They read statistics as the sweep does
-# and look up the other functions they call at call time, so that a replaced
-# registry entry or a wrapper put on a public function applies.
+# Every row of CHECKS calls one of the _check_* functions (_check_transport
+# is above, by BIJECTIONS), each on one of two runners (_sweep, _scan).  They
+# return unnamed reports, since run_check alone names a report, and take
+# workers even where they run in one process.  They read statistics as the
+# sweep does and look up the other functions they call at call time, so that
+# a replaced registry entry or a wrapper put on a public function applies.
 
 
 def _check_joint(family, groups, n, workers=1, formula=None):
@@ -813,7 +810,7 @@ def _check_joint(family, groups, n, workers=1, formula=None):
             differ = [k for k in keys if count[k] != expected[k]]
             key = min(differ, key=lambda k: (count[k] < expected[k], k))
             # the lowest rank whose values, as the sweep counts them, are key
-            witness = _scan("", family, n, lambda r, el, values: (
+            witness = _scan(family, n, lambda r, el, values: (
                 {"element": list(el)} if values == key else None,), names=g)
             counterexample = {
                 "groups": [list(g), formula or list(groups[0])],
@@ -837,11 +834,7 @@ def _check_type_d_sor_prime(n, workers=1):
         a, b = values
         return (None if a == b else {"element": list(el), "sor_D": a, "sor'_D": b},)
 
-    return _scan("", "D", n, case, names=("sor_D", "sor'_D"))
-
-
-def _transport(bijection, n, workers=1):
-    return verify_transport(bijection, n)
+    return _scan("D", n, case, names=("sor_D", "sor'_D"))
 
 
 def _check_oracle(family, set_name, stat_name, n, workers=1):
@@ -854,7 +847,7 @@ def _check_oracle(family, set_name, stat_name, n, workers=1):
         },)
 
     details = {"generating_set": set_name, "statistic": stat_name}
-    return _scan("", family, n, case, details, (stat_name,))
+    return _scan(family, n, case, details, (stat_name,))
 
 
 _CODE_PAIRS = {
@@ -894,14 +887,14 @@ def _check_codes(family, n, workers=1):
                 "reason": "decode(encode(element)) != element",
             }
 
-    return _scan("", family, n, case)
+    return _scan(family, n, case)
 
 
 CHECKS: dict[str, Callable[..., VerifyReport]] = {
     "type-a-gf": partial(
         _check_joint, "A", [("inv", "rl-min"), ("sor", "cyc")], formula="gf_type_a"
     ),
-    "type-a-transport": partial(_transport, "phi"),
+    "type-a-transport": partial(_check_transport, "phi"),
     "type-a-set-pairs": partial(
         _check_joint, "A", list(itertools.permutations(("Cyc", "Lmap", "Rmil"), 2))
     ),
@@ -916,7 +909,7 @@ CHECKS: dict[str, Callable[..., VerifyReport]] = {
         _check_joint, "B", [("inv_B", "nmin_B"), ("sor_B", "l'_B")],
         formula="gf_type_b",
     ),
-    "type-b-transport": partial(_transport, "psi"),
+    "type-b-transport": partial(_check_transport, "psi"),
     "type-b-set-pairs": partial(
         _check_joint, "B",
         list(itertools.permutations(("Cyc_B", "Lmap_B", "Rmil_B"), 2)),
@@ -938,7 +931,7 @@ CHECKS: dict[str, Callable[..., VerifyReport]] = {
     "type-d-mahonian": partial(
         _check_joint, "D", [("inv_D",), ("sor_D",)], formula="gf_type_d_univariate"
     ),
-    "type-d-transport": partial(_transport, "rho"),
+    "type-d-transport": partial(_check_transport, "rho"),
     "oracle-reflection-length-b": partial(_check_oracle, "B", "T^B", "l'_B"),
     "oracle-reflection-length-d": partial(_check_oracle, "D", "T^D", "lt'_D"),
     "oracle-length-b": partial(_check_oracle, "B", "S^B", "inv_B"),

@@ -119,8 +119,9 @@ def apply_transposition(s: SignedPerm, a: int, j: int) -> SignedPerm:
     >>> apply_transposition((1, 2), -1, 2)
     (-2, -1)
     """
-    if not 1 <= j <= len(s) or a == 0 or abs(a) > j:
-        raise ValueError(f"not a transposition for rank {len(s)}: ({a}, {j})")
+    # bool and float are no letters, though they compare equal to one
+    if type(a) is not int or type(j) is not int or not 0 < abs(a) <= j <= len(s):
+        raise ValueError(f"not a transposition for rank {len(s)}: ({a!r}, {j!r})")
     if a == j:
         return tuple(s)
     w = list(s)

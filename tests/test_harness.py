@@ -710,15 +710,13 @@ def test_joint_distribution_parallel_matches_sequential():
 
 
 def test_verify_transport():
-    report = harness.verify_transport("phi", 4)
+    report = harness.run_check("type-a-transport", 4)
     assert report.passed and report.checked == 24
     assert report.counterexample is None
     assert report.family == "A"
     doc = report.to_dict()
     json.dumps(doc)  # serializable
-    assert doc["check"] == "transport-phi"
-    with pytest.raises(ValueError):
-        harness.verify_transport("tau", 3)
+    assert doc["check"] == "type-a-transport"
 
 
 def test_bijection_registry():
@@ -848,6 +846,23 @@ def test_broken_rank_table_makes_its_oracle_fail(monkeypatch):
     assert ce["distance over S^B"] != ce["inv_B"]
 
 
+def test_dropped_generator_makes_its_oracle_fail(monkeypatch):
+    # S^B without (-1, 1) reaches no barred element, so the BFS leaves them
+    # unreached (255) and the oracle meets one at rank 1
+    pairs = harness._GENERATOR_PAIRS["S^B"]
+    monkeypatch.setitem(harness._GENERATOR_PAIRS, "S^B", lambda n: pairs(n)[1:])
+    harness.cayley_distance_table.cache_clear()
+    try:
+        report = harness.run_check("oracle-length-b", 4)
+    finally:
+        harness.cayley_distance_table.cache_clear()
+    assert not report.passed and report.checked == 2
+    assert report.counterexample == {
+        "rank": 1, "element": [-4, 3, 2, 1], "inv_B": 7, "distance over S^B": 255,
+    }
+    assert replays("B", 4, report.counterexample)
+
+
 def test_hot_paths_never_call_public_rank(monkeypatch):
     def refuse(*args):
         raise AssertionError("public rank called")
@@ -936,7 +951,7 @@ def test_non_member_image_is_caught(monkeypatch, bijection, n, r, image):
         (family, lambda s: image if s == target else func(s), func_inverse,
          int_pairs, set_pairs),
     )
-    report = harness.verify_transport(bijection, n)
+    report = harness.run_check(f"type-{family.lower()}-transport", n)
     assert not report.passed
     assert report.counterexample == {
         "rank": r,
@@ -1160,6 +1175,36 @@ def test_broken_encoder_makes_codes_check_fail(monkeypatch):
     assert perm_b.lehmer_b_encode(harness.unrank("B", 3, ce["rank"])) == tuple(
         ce["code"]
     )
+
+
+@pytest.mark.parametrize("family, r, checked, code, label", [
+    ("A", 17, 104, [1, 2, 3, 3], "acode"),
+    ("D", 20, 82, [1, 1, -3, 1], "fcode"),
+])
+def test_broken_decoder_makes_codes_check_fail(
+    monkeypatch, family, r, checked, code, label
+):
+    # the second pair's decoder reverses its word on the code of rank r
+    pairs = list(harness._CODE_PAIRS[family])
+    name, encode, decode = pairs[1]
+    target = tuple(code)
+    pairs[1] = (
+        name, encode, lambda c: decode(c)[::-1] if c == target else decode(c)
+    )
+    monkeypatch.setitem(harness._CODE_PAIRS, family, pairs)
+    report = harness.run_check(f"codes-{family.lower()}", 4)
+    assert not report.passed
+    assert report.checked == checked
+    assert report.counterexample == {
+        "rank": r,
+        "code": code,
+        "pair": label,
+        "reason": "encode(decode(code)) != code",
+    }
+    # the code of that rank is the signed Lehmer code of its element, on D
+    # with c_1 unsigned, since c_1 carries no digit there
+    lehmer = perm_b.lehmer_b_encode(harness.unrank(family, 4, r))
+    assert (abs(lehmer[0]), *lehmer[1:]) == target
 
 
 def test_transport_statistic_mismatch_keeps_the_image(monkeypatch):

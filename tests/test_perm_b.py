@@ -182,6 +182,10 @@ def test_apply_transposition():
         perm_b.apply_transposition(e, 0, 3)
     with pytest.raises(ValueError):
         perm_b.apply_transposition(e, 5, 3)
+    # bool and float compare equal to letters but are refused
+    for a, j in ((True, 2), (1.0, 2), (1, 2.0), (-2.0, 2)):
+        with pytest.raises(ValueError):
+            perm_b.apply_transposition(e, a, j)
 
 
 def test_inv_b_golden():

@@ -64,6 +64,11 @@ def test_apply_generator():
         perm_d.apply_generator(e, 4, 3)
     with pytest.raises(ValueError):
         perm_d.apply_generator(e, 0, 2)
+    # bool and float compare equal to letters but are refused, the
+    # composite and the identity marker included
+    for a, j in ((True, 2), (1.0, 2), (-2.0, 2), (-2, 2.0), (3.0, 3), (True, True)):
+        with pytest.raises(ValueError):
+            perm_d.apply_generator(e, a, j)
 
 
 def test_inv_d_golden():
