@@ -31,7 +31,10 @@ payloads, never exceptions.  A distribution check (_check_joint, among them
 the paper's type-A and type-B triple theorems) sweeps once over the union
 of its groups' statistics, of any arity and kind; ``checked`` is the number
 of groups times the group order; a statistic that splits over head and
-tail (see _sweep) is counted off the same tables.  A failure gives
+tail is counted off the same tables (see _sweep): by places (inv, the
+minima and maxima, N, Lmap and Rmil forms) or by the selection-sort walk
+(sor, sor_B, sor_D), and cyc, Cyc, cyc_B, Cyc_B, l'_B, sor'_D and lt'_D are
+evaluated per element.  A failure gives
 ``groups`` (the group and its reference: the first group or the formula),
 the value tuple ``key``, its ``count`` and ``expected``, and the ``rank``
 and ``element`` of the lowest-rank element with the key.
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from array import array
 from collections import Counter
 from functools import lru_cache, partial
 from math import prod
@@ -431,6 +435,33 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     head list, and one tail part every head.  This partitions f's definition
     by places, with no code digit or product formula, so a formula check
     still tests the kernel, which a whole-group test proves the split equals.
+
+    The sorting indices in _SORTING (sor, which is sor_B on A, sor_B and
+    sor_D) sum a term j - c_j, less a bar cost of 1 (sor_D: 2) when c_j < 0,
+    over the steps j = n..1 of the selection-sort walk (perm_b._sorting_code),
+    and its steps j > k read the head only through each big letter's place
+    and sign, a big letter being one with |x| > k.  A step moves the letter
+    at place j to the place p of +-j and never writes places 1..k otherwise,
+    so places k+1..n only ever hold tail letters, and a step at a tail place
+    has a term that t alone fixes.  When +-j is at a head place p, c_j = +-p
+    and the letter leaving place j, which t fixes, takes p with its sign
+    flipped when c_j < 0: the steps at p form a chain started by the big
+    letter x of h at p.  Its steps j, and its final small letter up to sign,
+    depend on |x| and t alone, and negating x negates every sign in it.
+    Small head letters stay put, and after step k + 1 places 1..k hold h
+    with each big letter replaced by its chain's final letter, a k-word on
+    which steps j <= k are f's own walk.  Take g = heads[0], whose letters
+    g_p are those of h up to order and sign, and S_p the signed step sum of
+    the chain that g_p starts in the walk on g + t.  Then f(s) = part + the
+    sum over places q of h of -S_p * q where h holds g_p and
+    S_p * (q - cost) where it holds -g_p (S_p = 0 for a small letter) +
+    f(k-word), part being the sum of t's terms and, over the chain steps of
+    that walk, of j less the cost for a barred c_j.  That one walk gives
+    part, each S_p and the k-word of g (_sorting_tail), and h's k-word is h
+    relabelled g_p -> word_p, -g_p -> -word_p, word being g's: f on the
+    k-words is one column per head list and word (_sorting_column).
+    cyc, Cyc, cyc_B, Cyc_B and l'_B (one cycle walk) and sor'_D and lt'_D
+    (whose composite generator flips place 1, a head place) stay per element.
     """
     order = group_order(family, n)
     _check_workers(workers)
@@ -467,6 +498,10 @@ _SPLIT = frozenset({
     perm_b.rl_min_b, perm_b.nmin_b, perm_b.nmax_b, perm_d.nmin_d,
     perm_b.lmap_b_set, perm_b.rmil_b_set})
 
+# the sorting kernels read off the selection-sort walk by head and tail (see
+# _sweep), each with the cost of a barred code entry; sor of A is sor_b
+_SORTING = {perm_b.sor_b: 1, perm_d.sor_d: 2}
+
 
 def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
     """The sweep over ranks start..stop-1; names are canonical, and they, not
@@ -485,14 +520,17 @@ def _blocks(family, n, names, start, stop) -> Iterator[tuple[int, list, list]]:
     there (heads[lo:hi] joined to fixed) and columns each named statistic's
     values on them, as the sweep counts them.  A kernel in _SPLIT is read as
     its head column, one per head list, plus the tail's part f(g' + fixed),
-    g' being heads[0] barred (see _sweep); any other registry entry is
-    called on each element, a set value being the increasing tuple it
+    g' being heads[0] barred; a kernel in _SORTING as the column of its
+    head list and the tail's chains, plus the part that one walk on
+    heads[0] + fixed gives (see _sweep for both); any other registry entry
+    is called on each element, a set value being the increasing tuple it
     returns.  A block holds at most the
     head-code count of elements, whatever the group order."""
     size, tails = _unrank_tables(family, n)
     stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
     fs = [stats[name] for name in names]
     head_columns: dict[tuple, list] = {}  # keyed by f and a head list's first word
+    sorting: dict = {}  # what the sorting columns share (_sorting_column)
     for i in range(start // size, -(-stop // size)):
         fixed, heads = tails[i]
         lo, hi = max(start - i * size, 0), min(stop - i * size, size)
@@ -503,11 +541,15 @@ def _blocks(family, n, names, start, stop) -> Iterator[tuple[int, list, list]]:
                 key = f, heads[0]
                 if key not in head_columns:
                     head_columns[key] = _head_part(f, heads, fixed)
+                column = head_columns[key]
                 part = f(tuple(-abs(x) for x in heads[0]) + fixed)
-                column = head_columns[key][lo:hi]
-                columns.append(list(map(add, column, itertools.repeat(part))))
+            elif f in _SORTING:
+                part, word, steps = _sorting_tail(f, heads[0], fixed)
+                column = _sorting_column(f, heads, word, steps, sorting)
             else:
                 columns.append(list(map(f, elements)))
+                continue
+            columns.append(list(map(add, column[lo:hi], itertools.repeat(part))))
         yield i * size + lo, elements, columns
 
 
@@ -518,6 +560,59 @@ def _head_part(f, heads, fixed) -> list:
     column = [f(h + barred_tail) for h in heads]
     c = f(tuple(-abs(x) for x in heads[0]) + barred_tail)  # a set's is ()
     return [v - c for v in column] if c else column
+
+
+def _sorting_tail(f, g, fixed) -> tuple[int, tuple, tuple]:
+    """The walk's steps j > k on g + fixed, read as (part, word, steps).
+
+    Each step's term is j - c_j, less the bar cost when c_j < 0.  part sums
+    the terms, each with c_j added back where |c_j| <= k is a head place,
+    whose -c_j the head's column counts; word is the k-word the walk leaves
+    in places 1..k; steps[p - 1] is the signed count of the steps at head
+    place p, the step sum S of the chain that g's letter there starts."""
+    k, cost = len(g), _SORTING[f]
+    code = perm_b._sorting_code(g + fixed, False)[0]
+    part, steps = 0, [0] * k
+    for j, c in enumerate(code[k:], k + 1):
+        part += j - (cost if c < 0 else 0)
+        if -k <= c <= k:
+            steps[abs(c) - 1] += 1 if c > 0 else -1
+        else:
+            part -= c
+    return part, perm_b._code_product(code[:k], False), tuple(steps)
+
+
+def _sorting_column(f, heads, word, steps, cache) -> Sequence[int]:
+    """Each head h's share of f under a tail that gave word and steps
+    (_sorting_tail): f on h relabelled letter by letter, g_p -> word_p and
+    -g_p -> -word_p for g = heads[0], plus a chain term for each place q of h:
+    -s * q where h holds g_p, s * (q - cost) where it holds -g_p, s being
+    steps[p - 1].  cache keeps f on each k-word and, as byte arrays (every
+    entry lies within +-n^2), what the tails of one head list share: the
+    chain term per unit of S_p for each head, and the relabelled column of
+    each word; the chain terms are added per tail."""
+    g, cost = heads[0], _SORTING[f]
+    if (f, g) not in cache:
+        at = [{x: q for q, x in enumerate(h, 1)} for h in heads]
+        cache[f, g] = [array("b", [-p[x] if x in p else p[-x] - cost for p in at])
+                       for x in g]
+    if (f, g, word) not in cache:
+        values = cache.setdefault(f, {})
+        relabel = {}
+        for x, y in zip(g, word):
+            relabel[x], relabel[-x] = y, -y
+        column = array("b")
+        for h in heads:
+            w = tuple(map(relabel.__getitem__, h))
+            if w not in values:
+                values[w] = f(w)
+            column.append(values[w])
+        cache[f, g, word] = column
+    column = cache[f, g, word]
+    for s, unit in zip(steps, cache[f, g]):
+        if s:
+            column = [c + s * u for c, u in zip(column, unit)]
+    return column
 
 
 def _plain(value):

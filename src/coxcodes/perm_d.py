@@ -67,10 +67,10 @@ def validate_even_signed(images: Iterable[int]) -> SignedPerm:
 
 def apply_generator(s: SignedPerm, a: int, j: int) -> SignedPerm:
     """Right-multiply by the generator (a, j); (-j, j) is the composite."""
-    if type(a) is not int or type(j) is not int:
+    if type(a) is not int or type(j) is not int or not 1 <= j <= len(s):
         raise ValueError(f"not a generator for rank {len(s)}: ({a!r}, {j!r})")
     if a == -j:
-        if j < 2 or j > len(s):
+        if j < 2:
             raise ValueError(f"no composite generator (-{j}, {j}) at rank {len(s)}")
         w = list(s)
         w[0] = -w[0]

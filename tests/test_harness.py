@@ -217,12 +217,13 @@ def test_relabelled_tables_equal_the_decoded_ones():
             family, n)
 
 
-# the statistics each family's sweep counts by their split form
+# the statistics each family's sweep counts by their split form, the place
+# split (_SPLIT) or the sorting walk's (_SORTING)
 SPLIT_NAMES = {
-    "A": {"inv", "rl-min", "lr-max", "nmin", "Lmap", "Rmil"},
+    "A": {"inv", "rl-min", "lr-max", "nmin", "Lmap", "Rmil", "sor"},
     "B": {"inv_B", "nmin_B", "nmax_B", "rl-min_B", "lr-max_B", "N", "Lmap_B",
-          "Rmil_B"},
-    "D": {"inv_D", "nmin_D", "N"},
+          "Rmil_B", "sor_B"},
+    "D": {"inv_D", "nmin_D", "N", "sor_D"},
 }
 
 
@@ -233,7 +234,8 @@ def assert_split_forms_equal_their_kernels(family, n):
     stats = harness._statistics(
         family, harness.INTEGER_STATISTICS, harness.SET_STATISTICS
     )
-    split = {name for name, f in stats.items() if f in harness._SPLIT}
+    split = {name for name, f in stats.items()
+             if f in harness._SPLIT or f in harness._SORTING}
     assert split == SPLIT_NAMES[family]
     order = harness.group_order(family, n)
     size = harness._unrank_tables(family, n)[0]
@@ -418,7 +420,7 @@ def test_sweep_groups_count_marginals_of_the_union():
 
 @pytest.mark.parametrize("family, n, names", [
     ("A", 6, ("inv", "sor", "Lmap", "Cyc")),
-    ("B", 5, ("inv_B", "l'_B", "Rmil_B", "Cyc_B")),
+    ("B", 5, ("inv_B", "l'_B", "Rmil_B", "Cyc_B", "sor_B")),
     ("D", 5, ("nmin_D", "sor_D", "N")),
 ])
 def test_sweep_ranges_split_inside_a_tail_add_up(monkeypatch, family, n, names):
@@ -1133,7 +1135,10 @@ def test_broken_sor_prime_makes_its_check_fail(monkeypatch):
 def test_broken_walk_makes_the_sorting_checks_fail(monkeypatch):
     # the shared walk counts one bar too many on a single element of D4 (and
     # so of B4): sor_B and sor_D read that count, sor'_D sums the F-code's
-    # factor weights and does not
+    # factor weights and does not.  The sweep's sorting split walks only
+    # head list words joined to a tail and never reads the count, so the
+    # walk reaches the checks through wrapped registry entries, which take
+    # the per-element path
     walk = perm_b._sorting_code
     target = harness.unrank("D", 4, 97)
 
@@ -1142,6 +1147,10 @@ def test_broken_walk_makes_the_sorting_checks_fail(monkeypatch):
         return code, bars + (s == target)
 
     monkeypatch.setattr(perm_b, "_sorting_code", broken)
+    for family, name, kernel in (("B", "sor_B", perm_b.sor_b),
+                                 ("D", "sor_D", perm_d.sor_d)):
+        monkeypatch.setitem(harness.INTEGER_STATISTICS[family], name,
+                            lambda s, kernel=kernel: kernel(s))
     for name in ("type-b-gf", "type-d-mahonian"):
         assert not harness.run_check(name, 4).passed
     report = harness.run_check("type-d-sor-prime", 4)
@@ -1150,6 +1159,42 @@ def test_broken_walk_makes_the_sorting_checks_fail(monkeypatch):
         "rank": 97, "element": [-3, 4, 2, -1], "sor_D": 3, "sor'_D": 5,
     }
     assert replays("D", 4, report.counterexample)
+
+
+def test_broken_sorting_column_is_caught_and_its_witness_reproduces(monkeypatch):
+    # one entry of one sorting column, the one the first tail reads, raised
+    # past every value the kernel takes: each check that reads the sorting
+    # index off the split fails at rank 1, and unrank replays its witness
+    sorting_column = harness._sorting_column
+    target = None
+
+    def broken(f, heads, word, steps, cache):
+        column = list(sorting_column(f, heads, word, steps, cache))
+        if (f, heads, word, steps) == target:
+            column[1] += 100
+        return column
+
+    monkeypatch.setattr(harness, "_sorting_column", broken)
+    for family, n, name, kernel, checks in (
+        ("D", 5, "sor_D", perm_d.sor_d, ("type-d-mahonian", "type-d-sor-prime")),
+        ("B", 4, "sor_B", perm_b.sor_b, ("type-b-gf",)),
+    ):
+        fixed, heads = harness._unrank_tables(family, n)[1][0]
+        target = (kernel, heads, *harness._sorting_tail(kernel, heads[0], fixed)[1:])
+        element = harness.unrank(family, n, 1)
+        for check in checks:
+            report = harness.run_check(check, n)
+            assert not report.passed, check
+            ce = report.counterexample
+            assert ce["rank"] == 1 and replays(family, n, ce), check
+            if check == "type-d-sor-prime":
+                assert ce == {"rank": 1, "element": list(element),
+                              "sor_D": kernel(element) + 100,
+                              "sor'_D": perm_d.sor_d_prime(element)}
+                continue
+            group = ce["groups"][0]
+            assert ce["expected"] == 0 and name in group, check
+            assert ce["key"][group.index(name)] == kernel(element) + 100, check
 
 
 def test_broken_encoder_makes_codes_check_fail(monkeypatch):

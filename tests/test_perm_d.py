@@ -58,8 +58,13 @@ def test_apply_generator():
     # the composite move negates places 1 and j
     assert perm_d.apply_generator(e, -3, 3) == (-1, 2, -3, 4)
     assert perm_d.apply_generator((2, -4, 5, -1, -3), -5, 5) == (-2, -4, 5, -1, 3)
-    # (j, j) is an accepted identity marker
+    # (j, j) is an accepted identity marker for 1 <= j <= n, and refused
+    # past n like every other pair
     assert perm_d.apply_generator(e, 3, 3) == e
+    assert perm_d.apply_generator(e, 1, 1) == e
+    for a, j in ((7, 7), (5, 5), (0, 0), (-5, 5)):
+        with pytest.raises(ValueError):
+            perm_d.apply_generator(e, a, j)
     with pytest.raises(ValueError):
         perm_d.apply_generator(e, 4, 3)
     with pytest.raises(ValueError):
