@@ -32,9 +32,9 @@ the paper's type-A and type-B triple theorems) sweeps once over the union
 of its groups' statistics, of any arity and kind; ``checked`` is the number
 of groups times the group order; a statistic that splits over head and
 tail is counted off the same tables (see _sweep): by places (inv, the
-minima and maxima, N, Lmap and Rmil forms) or by the selection-sort walk
-(sor, sor_B, sor_D), and cyc, Cyc, cyc_B, Cyc_B, l'_B, sor'_D and lt'_D are
-evaluated per element.  A failure gives
+minima and maxima, N, Lmap and Rmil forms), by the selection-sort walk
+(sor, sor_B, sor_D) or by the cycle walk (cyc, Cyc, cyc_B, Cyc_B, l'_B),
+and sor'_D and lt'_D are evaluated per element.  A failure gives
 ``groups`` (the group and its reference: the first group or the formula),
 the value tuple ``key``, its ``count`` and ``expected``, and the ``rank``
 and ``element`` of the lowest-rank element with the key.
@@ -280,8 +280,8 @@ def enumerate_group(
             raise ValueError(f"rank bound {bound!r} is not an integer")
     if not 0 <= start <= stop <= order:
         raise ValueError(f"bad range [{start}, {stop}) for order {order}")
-    return (el for _, elements, _ in _blocks(family, n, (), start, stop)
-            for el in elements)
+    return (el for _, block, _ in _blocks(family, n, (), start, stop, True)
+            for el in block)
 
 
 # registry order is the order `coxcodes stats` prints, integer then set
@@ -459,9 +459,28 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     that walk, of j less the cost for a barred c_j.  That one walk gives
     part, each S_p and the k-word of g (_sorting_tail), and h's k-word is h
     relabelled g_p -> word_p, -g_p -> -word_p, word being g's: f on the
-    k-words is one column per head list and word (_sorting_column).
-    cyc, Cyc, cyc_B, Cyc_B and l'_B (one cycle walk) and sor'_D and lt'_D
-    (whose composite generator flips place 1, a head place) stay per element.
+    k-words is one column per word, shared by the head lists
+    (_relabelled_column), plus the chain terms (_sorting_column).
+
+    The cycle kernels in _CYCLES (cyc_B, Cyc_B and l'_B, which are cyc and
+    Cyc on A) read the balanced cycles of the walk x -> |s(x)|, those whose
+    letters s(x) carry an even number of bars.  h's letters are +-v for v in
+    V, the values t leaves.  From place v the walk passes tail places until
+    it reaches a head place tau(v) <= k, meeting bars of parity pi(v); t
+    alone fixes pi and tau, a bijection V -> 1..k.  Relabel each letter +-v
+    of h as +-(-1)^pi(v) tau(v).  Each cycle of s through a head place then
+    is a cycle of the k-word w this gives, on the same head places, with the
+    same minimum (a head place) and the same parity of bars, since
+    parity(a XOR b) = parity(a + b).  The other cycles of s lie in the tail,
+    fixed by t, with minima above k.  So with c the tail's balanced cycles
+    and M their minima, cyc_B(s) = cyc_B(w) + c, Cyc_B(s) is Cyc_B(w)
+    followed by M, still increasing, and l'_B(s) = n - cyc_B(s) =
+    l'_B(w) + (n - k - c).  That part, c, M or n - k - c, is f(g + t) less
+    f(word) (a set: less its first members), word being g's w (_cycle_tail),
+    and h's w is h relabelled g_p -> word_p as above (_relabelled_column),
+    with no chain terms.  This reads the tail's letters, never a code digit.
+    sor'_D and lt'_D (whose composite generator flips place 1, a head place)
+    stay per element.
     """
     order = group_order(family, n)
     _check_workers(workers)
@@ -502,6 +521,10 @@ _SPLIT = frozenset({
 # _sweep), each with the cost of a barred code entry; sor of A is sor_b
 _SORTING = {perm_b.sor_b: 1, perm_d.sor_d: 2}
 
+# the cycle kernels read off a relabelled head column and the tail's own
+# cycles (see _sweep); cyc and Cyc of A are cyc_b and cyc_b_set
+_CYCLES = frozenset({perm_b.cyc_b, perm_b.cyc_b_set, perm_b.reflection_length_b})
+
 
 def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
     """The sweep over ranks start..stop-1; names are canonical, and they, not
@@ -513,28 +536,33 @@ def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
     return counts
 
 
-def _blocks(family, n, names, start, stop) -> Iterator[tuple[int, list, list]]:
+def _blocks(family, n, names, start, stop, elements=False
+            ) -> Iterator[tuple[int, list | None, list]]:
     """The one walk over the unrank tables: for each tail that the ranks
-    start..stop-1 meet, in rank order, (r, elements, columns), where r is the
-    rank of the tail's first element in the range, elements its elements
-    there (heads[lo:hi] joined to fixed) and columns each named statistic's
+    start..stop-1 meet, in rank order, (r, block, columns), where r is the
+    rank of the tail's first element in the range, block its elements there
+    (heads[lo:hi] joined to fixed) and columns each named statistic's
     values on them, as the sweep counts them.  A kernel in _SPLIT is read as
     its head column, one per head list, plus the tail's part f(g' + fixed),
-    g' being heads[0] barred; a kernel in _SORTING as the column of its
-    head list and the tail's chains, plus the part that one walk on
-    heads[0] + fixed gives (see _sweep for both); any other registry entry
-    is called on each element, a set value being the increasing tuple it
-    returns.  A block holds at most the
-    head-code count of elements, whatever the group order."""
+    g' being heads[0] barred; a kernel in _SORTING as the relabelled column
+    and the tail's chains, plus the part that one walk on heads[0] + fixed
+    gives; a kernel in _CYCLES as the relabelled column plus the part of the
+    tail's own cycles (see _sweep for all three); any other registry entry is
+    called on each element, a set value being the increasing tuple it
+    returns.  The elements are joined only when such an entry or the caller
+    (elements set) reads them, block being None otherwise.  A block holds at
+    most the head-code count of elements, whatever the group order."""
     size, tails = _unrank_tables(family, n)
     stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
     fs = [stats[name] for name in names]
+    join = elements or any(
+        f not in _SPLIT and f not in _SORTING and f not in _CYCLES for f in fs)
     head_columns: dict[tuple, list] = {}  # keyed by f and a head list's first word
-    sorting: dict = {}  # what the sorting columns share (_sorting_column)
+    shared: dict = {}  # what the relabelled and sorting columns share
     for i in range(start // size, -(-stop // size)):
         fixed, heads = tails[i]
         lo, hi = max(start - i * size, 0), min(stop - i * size, size)
-        elements = list(map(add, heads[lo:hi], itertools.repeat(fixed)))
+        block = list(map(add, heads[lo:hi], itertools.repeat(fixed))) if join else None
         columns = []
         for f in fs:
             if f in _SPLIT:
@@ -545,12 +573,15 @@ def _blocks(family, n, names, start, stop) -> Iterator[tuple[int, list, list]]:
                 part = f(tuple(-abs(x) for x in heads[0]) + fixed)
             elif f in _SORTING:
                 part, word, steps = _sorting_tail(f, heads[0], fixed)
-                column = _sorting_column(f, heads, word, steps, sorting)
+                column = _sorting_column(f, heads, word, steps, shared)
+            elif f in _CYCLES:
+                part, word = _cycle_tail(f, heads[0], fixed)
+                column = _relabelled_column(f, heads, word, shared)
             else:
-                columns.append(list(map(f, elements)))
+                columns.append(list(map(f, block)))
                 continue
             columns.append(list(map(add, column[lo:hi], itertools.repeat(part))))
-        yield i * size + lo, elements, columns
+        yield i * size + lo, block, columns
 
 
 def _head_part(f, heads, fixed) -> list:
@@ -560,6 +591,33 @@ def _head_part(f, heads, fixed) -> list:
     column = [f(h + barred_tail) for h in heads]
     c = f(tuple(-abs(x) for x in heads[0]) + barred_tail)  # a set's is ()
     return [v - c for v in column] if c else column
+
+
+def _relabelled_column(f, heads, word, cache) -> Sequence:
+    """f on each head h relabelled letter by letter, g_p -> word_p and
+    -g_p -> -word_p for g = heads[0].
+
+    Every head list is one list on 1..k relabelled by positive letters, in D
+    with place 1 flipped under a tail of odd bars, which the signs of g's
+    letters tell apart.  So the relabelled list is that list relabelled by
+    the k-word map that takes its first word to word, and one column serves
+    every head list with g's signs and word.  cache keeps each column, an
+    integer one as a byte array (f on a k-word lies within +-k^2), and f on
+    each k-word."""
+    key = f, word, tuple(x < 0 for x in heads[0])
+    if key not in cache:
+        values = cache.setdefault(f, {})
+        relabel = {}
+        for x, y in zip(heads[0], word):
+            relabel[x], relabel[-x] = y, -y
+        column = []
+        for h in heads:
+            w = tuple(map(relabel.__getitem__, h))
+            if w not in values:
+                values[w] = f(w)
+            column.append(values[w])
+        cache[key] = column if isinstance(column[0], tuple) else array("b", column)
+    return cache[key]
 
 
 def _sorting_tail(f, g, fixed) -> tuple[int, tuple, tuple]:
@@ -584,35 +642,40 @@ def _sorting_tail(f, g, fixed) -> tuple[int, tuple, tuple]:
 
 def _sorting_column(f, heads, word, steps, cache) -> Sequence[int]:
     """Each head h's share of f under a tail that gave word and steps
-    (_sorting_tail): f on h relabelled letter by letter, g_p -> word_p and
-    -g_p -> -word_p for g = heads[0], plus a chain term for each place q of h:
-    -s * q where h holds g_p, s * (q - cost) where it holds -g_p, s being
-    steps[p - 1].  cache keeps f on each k-word and, as byte arrays (every
-    entry lies within +-n^2), what the tails of one head list share: the
-    chain term per unit of S_p for each head, and the relabelled column of
-    each word; the chain terms are added per tail."""
+    (_sorting_tail): f on h relabelled (_relabelled_column) plus a chain term
+    for each place q of h: -s * q where h holds g_p, s * (q - cost) where it
+    holds -g_p, s being steps[p - 1] and g = heads[0].  cache also keeps, as
+    byte arrays, the chain term per unit of S_p for each head of a head
+    list; the chain terms are added per tail."""
     g, cost = heads[0], _SORTING[f]
     if (f, g) not in cache:
         at = [{x: q for q, x in enumerate(h, 1)} for h in heads]
         cache[f, g] = [array("b", [-p[x] if x in p else p[-x] - cost for p in at])
                        for x in g]
-    if (f, g, word) not in cache:
-        values = cache.setdefault(f, {})
-        relabel = {}
-        for x, y in zip(g, word):
-            relabel[x], relabel[-x] = y, -y
-        column = array("b")
-        for h in heads:
-            w = tuple(map(relabel.__getitem__, h))
-            if w not in values:
-                values[w] = f(w)
-            column.append(values[w])
-        cache[f, g, word] = column
-    column = cache[f, g, word]
+    column = _relabelled_column(f, heads, word, cache)
     for s, unit in zip(steps, cache[f, g]):
         if s:
             column = [c + s * u for c, u in zip(column, unit)]
     return column
+
+
+def _cycle_tail(f, g, fixed) -> tuple:
+    """(part, word) for a tail: word_p is +-q, q being the head place where
+    the cycle walk x -> |s(x)| on g + fixed, leaving head place p, first
+    returns to the head, barred when g_p and the tail letters it passed carry
+    an odd number of bars; part is f(g + fixed) less f(word), the share of
+    the cycles within the tail (a set's: their minima, all above k)."""
+    k = len(g)
+    word = []
+    for x in g:
+        y, bars = abs(x), x < 0
+        while y > k:  # a tail place: its letter leads on
+            x = fixed[y - k - 1]
+            y, bars = abs(x), bars ^ (x < 0)
+        word.append(-y if bars else y)
+    word = tuple(word)
+    whole, head = f(g + fixed), f(word)
+    return (whole[len(head):] if isinstance(whole, tuple) else whole - head), word
 
 
 def _plain(value):
@@ -670,7 +733,8 @@ def _scan(family, n, case, details=None, names=()) -> VerifyReport:
     counts the tests taken, that one included.  The report is unnamed:
     run_check alone names a report."""
     checked = 0
-    for first, block, columns in _blocks(family, n, names, 0, group_order(family, n)):
+    order = group_order(family, n)
+    for first, block, columns in _blocks(family, n, names, 0, order, True):
         rows = zip(*columns) if names else itertools.repeat(())
         for r, el, values in zip(itertools.count(first), block, rows):
             for fault in case(r, el, values):

@@ -12,8 +12,8 @@ signed statistic, code and bijection restricts to its type-A form (inv_B
 minus the bars is inv, sor_B is sor, cyc_B is cyc, psi is phi, and so on).
 So most public names here are the ``perm_b`` kernels themselves.  Only what
 differs in A has a body here: membership (no bars), the code range 1..i, the
-decoders that check it, phi and its inverse, which check membership, max_set,
-and the cycle tuples.  ``nmin`` is n minus rl-min.
+decoders that check it, the encoders, phi and its inverse, which check
+membership, max_set, and the cycle tuples.  ``nmin`` is n minus rl-min.
 
 Functions assume valid input unless they say otherwise; ``validate_*`` helpers
 are meant for boundaries (CLI parsing, decoding untrusted codes).
@@ -70,9 +70,6 @@ lmap_set = perm_b.lmap_b_set
 rl_min = perm_b.rl_min_b
 lr_max = perm_b.lr_max_b
 nmin = perm_b.nmin_b
-lehmer_encode = perm_b.lehmer_b_encode
-acode_encode = perm_b.acode_b_encode
-bcode_encode = perm_b.bcode_b_encode
 sort_factorization = perm_b.selection_sort_factorization
 sor = perm_b.sor_b
 
@@ -120,6 +117,28 @@ def validate_code(code: Iterable[int]) -> Code:
         if isinstance(ci, bool) or not isinstance(ci, int) or not 1 <= ci <= i:
             raise ValueError(f"code entry c_{i}={ci} outside 1..{i}")
     return c
+
+
+def lehmer_encode(p: Perm) -> Code:
+    """Lehmer code: c_i = #{j <= i : p(j) <= p(i)}; raises ValueError unless
+    p is a permutation.
+
+    >>> lehmer_encode((2, 4, 1, 5, 3))
+    (1, 2, 1, 4, 3)
+    """
+    return perm_b.lehmer_b_encode(validate_permutation(p))
+
+
+def acode_encode(p: Perm) -> Code:
+    """A-code: the Lehmer code of the inverse; raises ValueError unless p is a
+    permutation."""
+    return perm_b.acode_b_encode(validate_permutation(p))
+
+
+def bcode_encode(p: Perm) -> Code:
+    """B-code: c_i is the first value at most i on the walk from i backwards
+    along its cycle; raises ValueError unless p is a permutation."""
+    return perm_b.bcode_b_encode(validate_permutation(p))
 
 
 def lehmer_decode(code: Sequence[int]) -> Perm:

@@ -218,13 +218,14 @@ def test_relabelled_tables_equal_the_decoded_ones():
 
 
 # the statistics each family's sweep counts by their split form, the place
-# split (_SPLIT) or the sorting walk's (_SORTING)
+# split (_SPLIT), the sorting walk's (_SORTING) or the cycle walk's (_CYCLES)
 SPLIT_NAMES = {
-    "A": {"inv", "rl-min", "lr-max", "nmin", "Lmap", "Rmil", "sor"},
+    "A": {"inv", "rl-min", "lr-max", "nmin", "Lmap", "Rmil", "sor", "cyc", "Cyc"},
     "B": {"inv_B", "nmin_B", "nmax_B", "rl-min_B", "lr-max_B", "N", "Lmap_B",
-          "Rmil_B", "sor_B"},
+          "Rmil_B", "sor_B", "cyc_B", "Cyc_B", "l'_B"},
     "D": {"inv_D", "nmin_D", "N", "sor_D"},
 }
+SPLIT_KERNELS = harness._SPLIT | set(harness._SORTING) | harness._CYCLES
 
 
 def assert_split_forms_equal_their_kernels(family, n):
@@ -234,8 +235,7 @@ def assert_split_forms_equal_their_kernels(family, n):
     stats = harness._statistics(
         family, harness.INTEGER_STATISTICS, harness.SET_STATISTICS
     )
-    split = {name for name, f in stats.items()
-             if f in harness._SPLIT or f in harness._SORTING}
+    split = {name for name, f in stats.items() if f in SPLIT_KERNELS}
     assert split == SPLIT_NAMES[family]
     order = harness.group_order(family, n)
     size = harness._unrank_tables(family, n)[0]
@@ -266,6 +266,29 @@ def test_split_forms_equal_their_kernels():
 def test_split_forms_equal_their_kernels_on_b7_and_d7():
     for family, n in (("B", 7), ("D", 7)):
         assert_split_forms_equal_their_kernels(family, n)
+
+
+def test_cycle_statistics_match_the_signed_cycle_decomposition():
+    # the reference for the cycle kernels and for their split form: the
+    # balanced cycles of signed_cycle_decomposition, a walk of its own, give
+    # cyc_B as their count, Cyc_B as their minima and l'_B as n less the
+    # count, on every element of A1-A7 and B1-B6, both as each kernel gives
+    # them and as the sweep counts them
+    for family, ns in (("A", range(1, 8)), ("B", range(1, 7))):
+        names = sorted(SPLIT_NAMES[family] & {"cyc", "Cyc", "cyc_B", "Cyc_B", "l'_B"})
+        stats = harness._statistics(
+            family, harness.INTEGER_STATISTICS, harness.SET_STATISTICS
+        )
+        for n in ns:
+            order = harness.group_order(family, n)
+            for _, block, columns in harness._blocks(family, n, names, 0, order, True):
+                for s, values in zip(block, zip(*columns)):
+                    minima = tuple(c.values[0] for c in
+                                   perm_b.signed_cycle_decomposition(s) if c.balanced)
+                    expected = {"cyc": len(minima), "cyc_B": len(minima),
+                                "Cyc": minima, "Cyc_B": minima, "l'_B": n - len(minima)}
+                    for name, value in zip(names, values):
+                        assert value == stats[name](s) == expected[name], (name, s)
 
 
 def test_broken_split_part_is_caught_and_its_witness_reproduces(monkeypatch):
@@ -312,6 +335,73 @@ def test_broken_split_part_is_caught_and_its_witness_reproduces(monkeypatch):
     monkeypatch.setitem(harness.INTEGER_STATISTICS["D"], "inv_D", lambda s: kernel(s))
     for name in ("type-d-mahonian", "oracle-length-d", "type-d-transport"):
         assert harness.run_check(name, 5).passed, name
+
+
+# each check that reads a cycle statistic off the split, with its family, n
+# and that statistic
+_CYCLE_CHECKS = [
+    ("type-a-gf", "A", 5, "cyc"),
+    ("type-b-gf", "B", 4, "l'_B"),
+    ("type-b-set-pairs", "B", 4, "Cyc_B"),
+    ("oracle-reflection-length-b", "B", 4, "l'_B"),
+]
+
+
+@pytest.mark.parametrize("mutant", ["column entry", "chain parity"])
+def test_broken_cycle_split_is_caught_and_its_witness_reproduces(monkeypatch, mutant):
+    # the split of the cycle statistics, broken in one of two ways: entry 1
+    # of each cycle column read with the first tail's head list gains 100 (a
+    # set: the member 100), or under the first tail the chain that leaves
+    # head place 1 gains one bar, so its letter is barred in the
+    # relabelling.  Each check that reads a cycle statistic off the split
+    # fails, the BFS over T^B, which shares no code with the split, among
+    # them, and every counterexample's rank unranks to its element
+    relabelled_column, cycle_tail = harness._relabelled_column, harness._cycle_tail
+    first = {}  # family -> the first tail's (fixed, heads)
+
+    def broken_column(f, heads, word, cache):
+        column = relabelled_column(f, heads, word, cache)
+        if f not in harness._CYCLES or not any(heads is h for _, h in first.values()):
+            return column
+        column = list(column)
+        column[1] = column[1] + ((100,) if isinstance(column[1], tuple) else 100)
+        return column
+
+    def broken_tail(f, g, fixed):
+        part, word = cycle_tail(f, g, fixed)
+        if any(g + fixed == h[0] + t for t, h in first.values()):
+            word = (-word[0],) + word[1:]
+        return part, word
+
+    if mutant == "column entry":
+        monkeypatch.setattr(harness, "_relabelled_column", broken_column)
+    else:
+        monkeypatch.setattr(harness, "_cycle_tail", broken_tail)
+    for check, family, n, name in _CYCLE_CHECKS:
+        first[family] = harness._unrank_tables(family, n)[1][0]
+        report = harness.run_check(check, n)
+        assert not report.passed, check
+        ce = report.counterexample
+        assert replays(family, n, ce), check
+        if check.startswith("oracle"):  # it stops in the first tail
+            assert ce["rank"] < harness._unrank_tables(family, n)[0]
+            expected = perm_b.reflection_length_b(tuple(ce["element"]))
+            assert ce["distance over T^B"] == expected != ce[name]
+        else:  # the witness has a value tuple the group over-counts
+            group = ce["groups"][0]
+            assert name in group and ce["count"] > ce["expected"], check
+            key = tuple(tuple(v) if isinstance(v, list) else v for v in ce["key"])
+            assert harness.sweep(family, n, group)[key] == ce["count"], check
+    # a replaced registry entry takes the per-element path, which the broken
+    # split does not reach
+    for _, family, _, name in _CYCLE_CHECKS:
+        table = harness.INTEGER_STATISTICS
+        if name not in table[family]:
+            table = harness.SET_STATISTICS
+        kernel = table[family][name]
+        monkeypatch.setitem(table[family], name, lambda s, kernel=kernel: kernel(s))
+    for check, _, n, _ in _CYCLE_CHECKS:
+        assert harness.run_check(check, n).passed, check
 
 
 def test_enumerate_group_refuses_non_integer_bounds():
@@ -419,14 +509,16 @@ def test_sweep_groups_count_marginals_of_the_union():
 
 
 @pytest.mark.parametrize("family, n, names", [
-    ("A", 6, ("inv", "sor", "Lmap", "Cyc")),
-    ("B", 5, ("inv_B", "l'_B", "Rmil_B", "Cyc_B", "sor_B")),
-    ("D", 5, ("nmin_D", "sor_D", "N")),
+    ("A", 6, ("inv", "sor", "Lmap", "Cyc", "cyc")),
+    ("B", 5, ("inv_B", "l'_B", "Rmil_B", "Cyc_B", "sor_B", "cyc_B")),
+    ("D", 5, ("nmin_D", "sor_D", "N", "lt'_D")),
 ])
 def test_sweep_ranges_split_inside_a_tail_add_up(monkeypatch, family, n, names):
     # two workers split every group on a tail boundary, so split here at m
     # inside a tail, split and per-element statistics mixed: the two ranges'
-    # counts add up to the whole group's, and no block is longer than a tail
+    # counts add up to the whole group's, and no block is longer than a tail.
+    # A block is measured by its columns: a sweep that reads no element
+    # leaves the elements unjoined
     size = harness._unrank_tables(family, n)[0]
     order = harness.group_order(family, n)
     m = order // 2 + 1
@@ -436,7 +528,7 @@ def test_sweep_ranges_split_inside_a_tail_add_up(monkeypatch, family, n, names):
 
     def logged(*args):
         for block in blocks(*args):
-            lengths.append(len(block[1]))
+            lengths.append(len(block[2][0]))
             yield block
 
     monkeypatch.setattr(harness, "_blocks", logged)

@@ -235,6 +235,21 @@ def test_sort_factorization_reconstructs():
             )
 
 
+def test_encoders_refuse_non_members():
+    # a signed word, a repeated letter or a letter out of range is no
+    # permutation: each encoder refuses it, as phi does, where it used to
+    # return a code ((2, -1) gave the Lehmer code (1, -1)); on permutations
+    # each is its signed kernel
+    for encode in (perm_a.lehmer_encode, perm_a.acode_encode, perm_a.bcode_encode):
+        for bad in ((2, -1), (1, 1), (1, -2), (0, 1), (1, 3), (True,)):
+            with pytest.raises(ValueError):
+                encode(bad)
+    for s in all_perms(4):
+        assert perm_a.lehmer_encode(s) == perm_b.lehmer_b_encode(s)
+        assert perm_a.acode_encode(s) == perm_b.acode_b_encode(s)
+        assert perm_a.bcode_encode(s) == perm_b.bcode_b_encode(s)
+
+
 def test_phi_golden():
     assert perm_a.phi((3, 1, 5, 2, 4)) == (3, 2, 5, 4, 1)
     assert perm_a.phi_inverse((3, 2, 5, 4, 1)) == (3, 1, 5, 2, 4)
