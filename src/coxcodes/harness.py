@@ -30,11 +30,10 @@ identities by direct evaluation on every element; their results are report
 payloads, never exceptions.  A distribution check (_check_joint, among them
 the paper's type-A and type-B triple theorems) sweeps once over the union
 of its groups' statistics, of any arity and kind; ``checked`` is the number
-of groups times the group order; a statistic that splits over head and
-tail is counted off the same tables (see _sweep): by places (inv, the
-minima and maxima, N, Lmap and Rmil forms), by the selection-sort walk
-(sor, sor_B, sor_D) or by the cycle walk (cyc, Cyc, cyc_B, Cyc_B, l'_B),
-and sor'_D and lt'_D are evaluated per element.  A failure gives
+of groups times the group order; a statistic whose kernel _SPLITS maps to
+a reader is counted off the same tables as a head column plus a tail part
+(see _sweep), and any other, sor'_D and lt'_D among them, is evaluated per
+element.  A failure gives
 ``groups`` (the group and its reference: the first group or the formula),
 the value tuple ``key``, its ``count`` and ``expected``, and the ``rank``
 and ``element`` of the lowest-rank element with the key.
@@ -352,9 +351,10 @@ def _statistics(family: str, *tables) -> dict[str, Callable]:
 
 
 def _resolve(family: str, name: str, *tables) -> tuple[str, Callable]:
-    """Resolve name over the family's entries in the given registries."""
+    """Resolve name over the family's entries in the given registries; a
+    name that is no str is refused as an unknown one is."""
     stats = _statistics(family, *tables)
-    canonical = _STAT_ALIASES.get(name, name)
+    canonical = _STAT_ALIASES.get(name, name) if isinstance(name, str) else None
     if canonical not in stats:
         choices = ", ".join(sorted(stats))
         raise ValueError(
@@ -418,13 +418,16 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     tuple of each group of names separately, not the tuple of their union, so
     its memory is that of the groups' tables; sweep is the case of one group.
 
-    A statistic whose registry entry is a kernel in _SPLIT is counted as a
-    head part plus a tail part over the split of _unrank_tables; any other
+    A statistic whose registry entry is a key of _SPLITS is counted as a
+    head column plus a tail part over the split of _unrank_tables, which the
+    kernel's reader gives, by one of the three proofs below; any other
     entry, a replaced or wrapped kernel among them, is called per element.
-    Write s = h + t (h on places 1..k), x' for x's letters barred in any
-    order.  Each such f sums (a set: unites) terms over places and pairs of
-    places, where the terms within the head read the tail, and the other
-    terms in sum read the head, only by its set of absolute values:
+
+    The place split (_place_split).  Write s = h + t (h on places 1..k), x'
+    for x's letters barred in any order.  Each such f sums (a set: unites)
+    terms over places and pairs of places, where the terms within the head
+    read the tail, and the other terms in sum read the head, only by its set
+    of absolute values:
     |s(i)| > s(j) for an inversion, s(i) > |s(q)| for q < i for lr-max,
     0 < s(i) < |s(q)| for q > i for rl-min, s(i) < 0 for N, s(i) = -1 in
     nmin_D, 1 per place for the n of nmin and nmax_B.  With u = h + t',
@@ -436,8 +439,8 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     by places, with no code digit or product formula, so a formula check
     still tests the kernel, which a whole-group test proves the split equals.
 
-    The sorting indices in _SORTING (sor, which is sor_B on A, sor_B and
-    sor_D) sum a term j - c_j, less a bar cost of 1 (sor_D: 2) when c_j < 0,
+    The sorting split (_sorting_split: sor, which is sor_B on A, sor_B and
+    sor_D) sums a term j - c_j, less a bar cost of 1 (sor_D: 2) when c_j < 0,
     over the steps j = n..1 of the selection-sort walk (perm_b._sorting_code),
     and its steps j > k read the head only through each big letter's place
     and sign, a big letter being one with |x| > k.  A step moves the letter
@@ -457,13 +460,13 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     S_p * (q - cost) where it holds -g_p (S_p = 0 for a small letter) +
     f(k-word), part being the sum of t's terms and, over the chain steps of
     that walk, of j less the cost for a barred c_j.  That one walk gives
-    part, each S_p and the k-word of g (_sorting_tail), and h's k-word is h
-    relabelled g_p -> word_p, -g_p -> -word_p, word being g's: f on the
-    k-words is one column per word, shared by the head lists
-    (_relabelled_column), plus the chain terms (_sorting_column).
+    part, each S_p and the k-word of g, and h's k-word is h relabelled
+    g_p -> word_p, -g_p -> -word_p, word being g's: f on the k-words is one
+    column per word, shared by the head lists (_relabelled_column), plus
+    the chain terms.
 
-    The cycle kernels in _CYCLES (cyc_B, Cyc_B and l'_B, which are cyc and
-    Cyc on A) read the balanced cycles of the walk x -> |s(x)|, those whose
+    The cycle split (_cycle_split: cyc_B, Cyc_B and l'_B, which are cyc and
+    Cyc on A) reads the balanced cycles of the walk x -> |s(x)|, those whose
     letters s(x) carry an even number of bars.  h's letters are +-v for v in
     V, the values t leaves.  From place v the walk passes tail places until
     it reaches a head place tau(v) <= k, meeting bars of parity pi(v); t
@@ -509,23 +512,6 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     return totals
 
 
-# the kernels proven equal to their split form (see _sweep), among them
-# inv, lr-max, rl-min, nmin, Lmap and Rmil of A; a replaced or wrapped
-# registry entry is no member
-_SPLIT = frozenset({
-    perm_a.inv, perm_b.inv_b, perm_d.inv_d, perm_b.neg_count, perm_b.lr_max_b,
-    perm_b.rl_min_b, perm_b.nmin_b, perm_b.nmax_b, perm_d.nmin_d,
-    perm_b.lmap_b_set, perm_b.rmil_b_set})
-
-# the sorting kernels read off the selection-sort walk by head and tail (see
-# _sweep), each with the cost of a barred code entry; sor of A is sor_b
-_SORTING = {perm_b.sor_b: 1, perm_d.sor_d: 2}
-
-# the cycle kernels read off a relabelled head column and the tail's own
-# cycles (see _sweep); cyc and Cyc of A are cyc_b and cyc_b_set
-_CYCLES = frozenset({perm_b.cyc_b, perm_b.cyc_b_set, perm_b.reflection_length_b})
-
-
 def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
     """The sweep over ranks start..stop-1; names are canonical, and they, not
     the statistic functions, are what crosses into a worker process."""
@@ -542,55 +528,44 @@ def _blocks(family, n, names, start, stop, elements=False
     start..stop-1 meet, in rank order, (r, block, columns), where r is the
     rank of the tail's first element in the range, block its elements there
     (heads[lo:hi] joined to fixed) and columns each named statistic's
-    values on them, as the sweep counts them.  A kernel in _SPLIT is read as
-    its head column, one per head list, plus the tail's part f(g' + fixed),
-    g' being heads[0] barred; a kernel in _SORTING as the relabelled column
-    and the tail's chains, plus the part that one walk on heads[0] + fixed
-    gives; a kernel in _CYCLES as the relabelled column plus the part of the
-    tail's own cycles (see _sweep for all three); any other registry entry is
-    called on each element, a set value being the increasing tuple it
-    returns.  The elements are joined only when such an entry or the caller
-    (elements set) reads them, block being None otherwise.  A block holds at
-    most the head-code count of elements, whatever the group order."""
+    values on them, as the sweep counts them.  A kernel that _SPLITS maps to
+    a reader is read as the reader's head column plus its tail part (see
+    _sweep); any other registry entry is called on each element, a set value
+    being the increasing tuple it returns.  The elements are joined only
+    when such an entry or the caller (elements set) reads them, block being
+    None otherwise.  A block holds at most the head-code count of elements,
+    whatever the group order."""
     size, tails = _unrank_tables(family, n)
     stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
-    fs = [stats[name] for name in names]
-    join = elements or any(
-        f not in _SPLIT and f not in _SORTING and f not in _CYCLES for f in fs)
-    head_columns: dict[tuple, list] = {}  # keyed by f and a head list's first word
-    shared: dict = {}  # what the relabelled and sorting columns share
+    readers = [(stats[name], _SPLITS.get(stats[name])) for name in names]
+    join = elements or any(split is None for _, split in readers)
+    cache: dict = {}  # what the readers keep across tails, keyed per kernel
     for i in range(start // size, -(-stop // size)):
         fixed, heads = tails[i]
         lo, hi = max(start - i * size, 0), min(stop - i * size, size)
         block = list(map(add, heads[lo:hi], itertools.repeat(fixed))) if join else None
         columns = []
-        for f in fs:
-            if f in _SPLIT:
-                key = f, heads[0]
-                if key not in head_columns:
-                    head_columns[key] = _head_part(f, heads, fixed)
-                column = head_columns[key]
-                part = f(tuple(-abs(x) for x in heads[0]) + fixed)
-            elif f in _SORTING:
-                part, word, steps = _sorting_tail(f, heads[0], fixed)
-                column = _sorting_column(f, heads, word, steps, shared)
-            elif f in _CYCLES:
-                part, word = _cycle_tail(f, heads[0], fixed)
-                column = _relabelled_column(f, heads, word, shared)
-            else:
+        for f, split in readers:
+            if split is None:
                 columns.append(list(map(f, block)))
-                continue
-            columns.append(list(map(add, column[lo:hi], itertools.repeat(part))))
+            else:
+                column, part = split(f, heads, fixed, cache)
+                columns.append(list(map(add, column[lo:hi], itertools.repeat(part))))
         yield i * size + lo, block, columns
 
 
-def _head_part(f, heads, fixed) -> list:
-    """f(h + t') - f(g' + t') for each h in heads, g = heads[0] and t = fixed
-    a tail of that list, x' being x barred; f(g' + t) is t's tail part."""
-    barred_tail = tuple(-abs(x) for x in fixed)
-    column = [f(h + barred_tail) for h in heads]
-    c = f(tuple(-abs(x) for x in heads[0]) + barred_tail)  # a set's is ()
-    return [v - c for v in column] if c else column
+def _place_split(f, heads, fixed, cache) -> tuple[list, object]:
+    """(column, part) for a place-split kernel: the column holds
+    f(h + t') - f(g' + t') for each h in heads, g = heads[0] and t = fixed,
+    x' being x barred, one column per head list; part is f(g' + t)."""
+    barred = tuple(-abs(x) for x in heads[0])
+    key = f, heads[0]
+    if key not in cache:
+        barred_tail = tuple(-abs(x) for x in fixed)
+        column = [f(h + barred_tail) for h in heads]
+        c = f(barred + barred_tail)  # a set's is ()
+        cache[key] = [v - c for v in column] if c else column
+    return cache[key], f(barred + fixed)
 
 
 def _relabelled_column(f, heads, word, cache) -> Sequence:
@@ -620,15 +595,20 @@ def _relabelled_column(f, heads, word, cache) -> Sequence:
     return cache[key]
 
 
-def _sorting_tail(f, g, fixed) -> tuple[int, tuple, tuple]:
-    """The walk's steps j > k on g + fixed, read as (part, word, steps).
+def _sorting_split(cost, f, heads, fixed, cache) -> tuple[Sequence[int], int]:
+    """(column, part) for a sorting index whose barred code entry costs cost.
 
-    Each step's term is j - c_j, less the bar cost when c_j < 0.  part sums
-    the terms, each with c_j added back where |c_j| <= k is a head place,
-    whose -c_j the head's column counts; word is the k-word the walk leaves
-    in places 1..k; steps[p - 1] is the signed count of the steps at head
-    place p, the step sum S of the chain that g's letter there starts."""
-    k, cost = len(g), _SORTING[f]
+    One walk on g + fixed, g = heads[0]: each step j > k has the term
+    j - c_j, less cost when c_j < 0.  part sums the terms, each with c_j
+    added back where |c_j| <= k is a head place p, whose -c_j the column
+    counts; the walk leaves a k-word, word, in places 1..k, and steps[p - 1]
+    is the signed count of its steps at head place p, the step sum S of the
+    chain that g_p starts.  The column is f on each head h relabelled
+    (_relabelled_column) plus a chain term for each place q of h: -S * q
+    where h holds g_p, S * (q - cost) where it holds -g_p.  cache also keeps,
+    as byte arrays, the chain term per unit of S for each head of a head
+    list; the chain terms are added per tail."""
+    g, k = heads[0], len(heads[0])
     code = perm_b._sorting_code(g + fixed, False)[0]
     part, steps = 0, [0] * k
     for j, c in enumerate(code[k:], k + 1):
@@ -637,26 +617,24 @@ def _sorting_tail(f, g, fixed) -> tuple[int, tuple, tuple]:
             steps[abs(c) - 1] += 1 if c > 0 else -1
         else:
             part -= c
-    return part, perm_b._code_product(code[:k], False), tuple(steps)
-
-
-def _sorting_column(f, heads, word, steps, cache) -> Sequence[int]:
-    """Each head h's share of f under a tail that gave word and steps
-    (_sorting_tail): f on h relabelled (_relabelled_column) plus a chain term
-    for each place q of h: -s * q where h holds g_p, s * (q - cost) where it
-    holds -g_p, s being steps[p - 1] and g = heads[0].  cache also keeps, as
-    byte arrays, the chain term per unit of S_p for each head of a head
-    list; the chain terms are added per tail."""
-    g, cost = heads[0], _SORTING[f]
     if (f, g) not in cache:
         at = [{x: q for q, x in enumerate(h, 1)} for h in heads]
         cache[f, g] = [array("b", [-p[x] if x in p else p[-x] - cost for p in at])
                        for x in g]
+    word = perm_b._code_product(code[:k], False)
     column = _relabelled_column(f, heads, word, cache)
     for s, unit in zip(steps, cache[f, g]):
         if s:
             column = [c + s * u for c, u in zip(column, unit)]
-    return column
+    return column, part
+
+
+def _cycle_split(f, heads, fixed, cache) -> tuple[Sequence, object]:
+    """(column, part) for a cycle kernel: f on each head relabelled by the
+    word of the tail's cycle walk (_cycle_tail, _relabelled_column), and the
+    share of the cycles within the tail."""
+    part, word = _cycle_tail(f, heads[0], fixed)
+    return _relabelled_column(f, heads, word, cache), part
 
 
 def _cycle_tail(f, g, fixed) -> tuple:
@@ -676,6 +654,22 @@ def _cycle_tail(f, g, fixed) -> tuple:
     word = tuple(word)
     whole, head = f(g + fixed), f(word)
     return (whole[len(head):] if isinstance(whole, tuple) else whole - head), word
+
+
+# each kernel proven equal to its split form (see _sweep) -> its reader,
+# called as reader(f, heads, fixed, cache) for (column, part); sor, cyc and
+# Cyc of A are sor_b, cyc_b and cyc_b_set, and a replaced or wrapped
+# registry entry is no key
+_SPLITS: dict[Callable, Callable] = {
+    **dict.fromkeys((
+        perm_a.inv, perm_b.inv_b, perm_d.inv_d, perm_b.neg_count, perm_b.lr_max_b,
+        perm_b.rl_min_b, perm_b.nmin_b, perm_b.nmax_b, perm_d.nmin_d,
+        perm_b.lmap_b_set, perm_b.rmil_b_set), _place_split),
+    perm_b.sor_b: partial(_sorting_split, 1),
+    perm_d.sor_d: partial(_sorting_split, 2),
+    **dict.fromkeys(
+        (perm_b.cyc_b, perm_b.cyc_b_set, perm_b.reflection_length_b), _cycle_split),
+}
 
 
 def _plain(value):
@@ -1102,8 +1096,9 @@ CHECKS: dict[str, Callable[..., VerifyReport]] = {
 
 
 def run_check(name: str, n: int, workers: int = 1) -> VerifyReport:
-    """Run a named check; unknown names and out-of-range n raise ValueError."""
-    if name not in CHECKS:
+    """Run a named check; unknown names (a non-str among them) and
+    out-of-range n raise ValueError."""
+    if not isinstance(name, str) or name not in CHECKS:
         raise ValueError(
             f"unknown check {name!r}; choose from: " + ", ".join(sorted(CHECKS))
         )

@@ -217,15 +217,23 @@ def test_relabelled_tables_equal_the_decoded_ones():
             family, n)
 
 
-# the statistics each family's sweep counts by their split form, the place
-# split (_SPLIT), the sorting walk's (_SORTING) or the cycle walk's (_CYCLES)
+# the statistics each family's sweep counts by their split form, the reader
+# that _SPLITS maps their kernel to
 SPLIT_NAMES = {
     "A": {"inv", "rl-min", "lr-max", "nmin", "Lmap", "Rmil", "sor", "cyc", "Cyc"},
     "B": {"inv_B", "nmin_B", "nmax_B", "rl-min_B", "lr-max_B", "N", "Lmap_B",
           "Rmil_B", "sor_B", "cyc_B", "Cyc_B", "l'_B"},
     "D": {"inv_D", "nmin_D", "N", "sor_D"},
 }
-SPLIT_KERNELS = harness._SPLIT | set(harness._SORTING) | harness._CYCLES
+SPLIT_KERNELS = set(harness._SPLITS)
+
+
+def test_every_split_reader_reads_a_registry_kernel():
+    # a renamed or replaced kernel leaves no reader behind: each key of
+    # _SPLITS is an entry of some family's registries
+    entries = {f for table in (harness.INTEGER_STATISTICS, harness.SET_STATISTICS)
+               for stats in table.values() for f in stats.values()}
+    assert SPLIT_KERNELS <= entries
 
 
 def assert_split_forms_equal_their_kernels(family, n):
@@ -291,21 +299,29 @@ def test_cycle_statistics_match_the_signed_cycle_decomposition():
                         assert value == stats[name](s) == expected[name], (name, s)
 
 
+def break_split(monkeypatch, kernel, at):
+    """Break the kernel's reader for each tail where at(heads, fixed) holds:
+    entry 1 of a copy of its column goes past every value the kernel takes,
+    100 added, or for a set value the member 100."""
+    split = harness._SPLITS[kernel]
+
+    def broken(f, heads, fixed, cache):
+        column, part = split(f, heads, fixed, cache)
+        if at(heads, fixed):
+            column = list(column)
+            column[1] = column[1] + ((100,) if isinstance(column[1], tuple) else 100)
+        return column, part
+
+    monkeypatch.setitem(harness._SPLITS, kernel, broken)
+
+
 def test_broken_split_part_is_caught_and_its_witness_reproduces(monkeypatch):
     # one head entry of inv_D's split, raised past every value inv_D takes:
     # the sweep counts values no element has by its kernel, so only a witness
     # judged by the values the sweep counted exists, and unrank replays it
-    head_part = harness._head_part
     size, tails = harness._unrank_tables("D", 5)
     first = tails[0][1]  # the first tail's head list
-
-    def broken(f, heads, fixed):
-        column = head_part(f, heads, fixed)
-        if f is perm_d.inv_d and heads is first:
-            column[1] += 100
-        return column
-
-    monkeypatch.setattr(harness, "_head_part", broken)
+    break_split(monkeypatch, perm_d.inv_d, lambda heads, _: heads is first)
     report = harness.run_check("type-d-mahonian", 5)
     assert not report.passed
     ce = report.counterexample
@@ -329,6 +345,21 @@ def test_broken_split_part_is_caught_and_its_witness_reproduces(monkeypatch):
         got = ce["inv_D" if image.startswith("distance") else "source_value"]
         element = tuple(ce["element"])
         assert got == perm_d.inv_d(element) + 100 and ce[image] == got - 100, name
+    # the set-valued place columns, broken the same way on B4 (the member
+    # 100 in entry 1 of the first head list's column), fail each check that
+    # reads them at a rank that unrank replays
+    size, tails = harness._unrank_tables("B", 4)
+    first = tails[0][1]
+    for name, kernel, ranks in (("Rmil_B", perm_b.rmil_b_set, (265, 289, 1)),
+                                ("Lmap_B", perm_b.lmap_b_set, (194, 193, 1))):
+        with monkeypatch.context() as patch:
+            break_split(patch, kernel, lambda heads, _: heads is first)
+            for check, r in zip(("type-b-set-pairs", "type-b-triples",
+                                 "type-b-transport"), ranks):
+                ce = harness.run_check(check, 4).counterexample
+                assert ce is not None and ce["rank"] == r, (name, check)
+                assert replays("B", 4, ce), (name, check)
+            assert 100 in ce["source_value"], name
     # a replaced registry entry takes the per-element path, which the broken
     # part does not reach
     kernel = harness.INTEGER_STATISTICS["D"]["inv_D"]
@@ -356,16 +387,8 @@ def test_broken_cycle_split_is_caught_and_its_witness_reproduces(monkeypatch, mu
     # relabelling.  Each check that reads a cycle statistic off the split
     # fails, the BFS over T^B, which shares no code with the split, among
     # them, and every counterexample's rank unranks to its element
-    relabelled_column, cycle_tail = harness._relabelled_column, harness._cycle_tail
+    cycle_tail = harness._cycle_tail
     first = {}  # family -> the first tail's (fixed, heads)
-
-    def broken_column(f, heads, word, cache):
-        column = relabelled_column(f, heads, word, cache)
-        if f not in harness._CYCLES or not any(heads is h for _, h in first.values()):
-            return column
-        column = list(column)
-        column[1] = column[1] + ((100,) if isinstance(column[1], tuple) else 100)
-        return column
 
     def broken_tail(f, g, fixed):
         part, word = cycle_tail(f, g, fixed)
@@ -374,7 +397,9 @@ def test_broken_cycle_split_is_caught_and_its_witness_reproduces(monkeypatch, mu
         return part, word
 
     if mutant == "column entry":
-        monkeypatch.setattr(harness, "_relabelled_column", broken_column)
+        for kernel in (perm_b.cyc_b, perm_b.cyc_b_set, perm_b.reflection_length_b):
+            break_split(monkeypatch, kernel, lambda heads, _: any(
+                heads is h for _, h in first.values()))
     else:
         monkeypatch.setattr(harness, "_cycle_tail", broken_tail)
     for check, family, n, name in _CYCLE_CHECKS:
@@ -432,6 +457,14 @@ def test_statistic_resolution():
     assert "inv" in str(err.value)  # the error lists the valid choices
     with pytest.raises(ValueError):
         harness.set_statistic("D", "Lmap")
+    # a name that is no str, even an unhashable one, is refused as unknown
+    for name in (["inv"], {"inv": 1}, None, 1):
+        with pytest.raises(ValueError, match="unknown statistic"):
+            harness.integer_statistic("A", name)
+        with pytest.raises(ValueError, match="unknown statistic"):
+            harness.set_statistic("B", name)
+        with pytest.raises(ValueError, match="unknown statistic"):
+            harness.sweep("A", 3, [name])
 
 
 def test_sweep_error_lists_every_statistic_it_takes():
@@ -1144,6 +1177,9 @@ def test_run_check():
     with pytest.raises(ValueError) as err:
         harness.run_check("no-such-check", 3)
     assert "type-a-gf" in str(err.value)
+    for name in (["type-a-gf"], {"type-a-gf": 1}, None):
+        with pytest.raises(ValueError, match="unknown check"):
+            harness.run_check(name, 3)
 
 
 def test_check_registry_names():
@@ -1257,22 +1293,12 @@ def test_broken_sorting_column_is_caught_and_its_witness_reproduces(monkeypatch)
     # one entry of one sorting column, the one the first tail reads, raised
     # past every value the kernel takes: each check that reads the sorting
     # index off the split fails at rank 1, and unrank replays its witness
-    sorting_column = harness._sorting_column
-    target = None
-
-    def broken(f, heads, word, steps, cache):
-        column = list(sorting_column(f, heads, word, steps, cache))
-        if (f, heads, word, steps) == target:
-            column[1] += 100
-        return column
-
-    monkeypatch.setattr(harness, "_sorting_column", broken)
     for family, n, name, kernel, checks in (
         ("D", 5, "sor_D", perm_d.sor_d, ("type-d-mahonian", "type-d-sor-prime")),
         ("B", 4, "sor_B", perm_b.sor_b, ("type-b-gf",)),
     ):
-        fixed, heads = harness._unrank_tables(family, n)[1][0]
-        target = (kernel, heads, *harness._sorting_tail(kernel, heads[0], fixed)[1:])
+        fixed = harness._unrank_tables(family, n)[1][0][0]  # the first tail
+        break_split(monkeypatch, kernel, lambda _, t, fixed=fixed: t == fixed)
         element = harness.unrank(family, n, 1)
         for check in checks:
             report = harness.run_check(check, n)
