@@ -96,10 +96,16 @@ _MAX_N = {"A": 9, "B": 8, "D": 8}
 _BFS_LIMIT = 100_000
 
 
+def _check_family(family) -> None:
+    """Refuse an unknown family, one that is no str (even an unhashable one)
+    among them."""
+    if not isinstance(family, str) or family not in _MIN_N:
+        raise ValueError(f"unknown family {family!r}; choose one of A, B, D")
+
+
 def check_group(family: str, n: int) -> None:
     """Validate a family/rank pair, refusing anything out of range."""
-    if family not in _MIN_N:
-        raise ValueError(f"unknown family {family!r}; choose one of A, B, D")
+    _check_family(family)
     if isinstance(n, bool) or not isinstance(n, int) or n < _MIN_N[family]:
         raise ValueError(f"family {family} needs n >= {_MIN_N[family]}, got {n}")
     if n > _MAX_N[family]:
@@ -345,8 +351,7 @@ _STAT_ALIASES = {
 def _statistics(family: str, *tables) -> dict[str, Callable]:
     """The family's entries in the given registries; an unknown family is
     refused as check_group refuses it."""
-    if family not in _MIN_N:
-        raise ValueError(f"unknown family {family!r}; choose one of A, B, D")
+    _check_family(family)
     return {k: f for table in tables for k, f in table[family].items()}
 
 
@@ -369,7 +374,7 @@ def integer_statistic(family: str, name: str) -> tuple[str, Callable]:
 
 
 def set_statistic(family: str, name: str) -> tuple[str, Callable]:
-    if SET_STATISTICS.get(family) == {}:
+    if not _statistics(family, SET_STATISTICS):
         raise ValueError(f"family {family} has no set statistics")
     return _resolve(family, name, SET_STATISTICS)
 
@@ -843,6 +848,16 @@ _GENERATOR_PAIRS = {
 }
 
 
+def _check_set_name(family: str, name) -> None:
+    """Refuse a name that is none of the family's generating sets; a name
+    that is no str is compared, never hashed, so it is refused as well."""
+    if name not in GENERATING_SET_NAMES[family]:
+        raise ValueError(
+            f"unknown generating set {name!r} for family {family}; choose from: "
+            + ", ".join(GENERATING_SET_NAMES[family])
+        )
+
+
 def generating_set(family: str, n: int, name: str) -> tuple[tuple[int, ...], ...]:
     """The named generating set as a tuple of group elements.
 
@@ -851,11 +866,7 @@ def generating_set(family: str, n: int, name: str) -> tuple[tuple[int, ...], ...
     1 <= |i| < j plus the composite generators (-j, j) for j >= 2.
     """
     check_group(family, n)
-    if name not in GENERATING_SET_NAMES.get(family, ()):
-        raise ValueError(
-            f"unknown generating set {name!r} for family {family}; choose from: "
-            + ", ".join(GENERATING_SET_NAMES[family])
-        )
+    _check_set_name(family, name)
     apply = perm_d.apply_generator if family == "D" else perm_b.apply_transposition
     ident = identity_of(family, n)
     return tuple(apply(ident, a, j) for a, j in _GENERATOR_PAIRS[name](n))
@@ -922,6 +933,7 @@ def cayley_distance(
     1
     """
     r = rank(family, n, element)
+    _check_set_name(family, set_name)  # before the cache hashes the name
     return cayley_distance_table(family, n, set_name)[r]
 
 
