@@ -21,9 +21,10 @@ reads the code's digits back as unrank writes them.  The BFS behind the
 oracle tables ranks by two lookups (``_rank_tables``) read off the unrank
 tables, so the tables rank and unrank by one head/tail split, and walks s
 by s -> g^-1 s; a depth is the word length of s because every generating
-set is closed under inversion.  No check ranks an element: an oracle reads
-the distance table at the rank its scan is at, and the transport check
-proves bijectivity by membership and the stored inverse.
+set is closed under inversion.  An oracle reads the distance table at the
+rank its scan is at.  A transport check proves bijectivity by membership
+and the stored inverse, and only then ranks the image by the same two
+lookups, to read its statistics at that rank (_split_at).
 
 Named checks (see CHECKS) re-prove the equidistribution and transport
 identities by direct evaluation on every element; their results are report
@@ -47,7 +48,9 @@ first fault and reports it with ``rank`` first, so unrank(family, n, rank)
 gives the element back.  ``checked`` counts the tests taken, that one
 included.  An oracle reads its table at r, and a codes check takes the
 code of rank r (the code whose digits are r, split as _split_codes splits
-it) and then el.  The runner is sequential; workers reaches the sweeps only.
+it) and not el: a pair's member test and round trip on every code prove
+the round trip on every element (_check_codes).  The runner is
+sequential; workers reaches the sweeps only.
 """
 
 from __future__ import annotations
@@ -612,7 +615,8 @@ def _sorting_split(cost, f, heads, fixed, cache) -> tuple[Sequence[int], int]:
     (_relabelled_column) plus a chain term for each place q of h: -S * q
     where h holds g_p, S * (q - cost) where it holds -g_p.  cache also keeps,
     as byte arrays, the chain term per unit of S for each head of a head
-    list; the chain terms are added per tail."""
+    list; the chain terms are added per tail, into a fresh column kept as a
+    16-bit array."""
     g, k = heads[0], len(heads[0])
     code = perm_b._sorting_code(g + fixed, False)[0]
     part, steps = 0, [0] * k
@@ -631,7 +635,7 @@ def _sorting_split(cost, f, heads, fixed, cache) -> tuple[Sequence[int], int]:
     for s, unit in zip(steps, cache[f, g]):
         if s:
             column = [c + s * u for c, u in zip(column, unit)]
-    return column, part
+    return (array("h", column) if isinstance(column, list) else column), part
 
 
 def _cycle_split(f, heads, fixed, cache) -> tuple[Sequence, object]:
@@ -675,6 +679,28 @@ _SPLITS: dict[Callable, Callable] = {
     **dict.fromkeys(
         (perm_b.cyc_b, perm_b.cyc_b_set, perm_b.reflection_length_b), _cycle_split),
 }
+
+
+def _split_at(family, n, f) -> Callable[[int], object]:
+    """Random access to a kernel that _SPLITS maps to a reader: the function
+    of a rank r giving f's value at r as the sweep counts it, column[r % size]
+    + part of the reader on tail r // size.  The reader runs once per tail,
+    when a rank first meets it, and its (column, part) is kept: place and
+    cycle columns are shared per head list or word, and a sorting column is
+    a 16-bit array of the tail's own."""
+    size, tails = _unrank_tables(family, n)
+    split, cache = _SPLITS[f], {}
+    read: list = [None] * len(tails)
+
+    def value(r):
+        i, j = divmod(r, size)
+        if read[i] is None:
+            fixed, heads = tails[i]
+            read[i] = split(f, heads, fixed, cache)
+        column, part = read[i]
+        return column[j] + part
+
+    return value
 
 
 def _plain(value):
@@ -789,10 +815,22 @@ def _check_transport(bijection, n, workers=1):
     failed inverse test is reported as a duplicate image when the stored
     inverse returns another member with the same image, and as an inverse
     mismatch otherwise.
+
+    The statistics are read as the sweep counts them.  Once the image has
+    passed both tests it is a member, so _rank_tables ranks it by two
+    lookups (as a tuple, whatever sequence func returns), and each image
+    statistic whose kernel _SPLITS maps to a reader is read at that rank
+    (_split_at); any other entry, a replaced or wrapped one among them, is
+    called on the image.  The lookups come after the tests because they do
+    not prove membership: a non-member's halves can both be keys.
     """
     family, func, inv_func = BIJECTIONS[bijection][:3]
+    group_order(family, n)  # refuse a bad n before building any table
     pairs = _transport_pairs(bijection)
     member = _MEMBERS[family]
+    k, head, tail = _rank_tables(family, n)
+    reads = [_split_at(family, n, fb) if fb in _SPLITS else None
+             for *_, fb in pairs]
 
     def case(r, el, values):
         image = func(el)
@@ -806,8 +844,9 @@ def _check_transport(bijection, n, workers=1):
             else:
                 fault = {"inverse": list(back), "reason": "inverse mismatch"}
         else:
-            for (a, b, _, fb), va in zip(pairs, values):
-                vb = fb(image)
+            at = head[tuple(image[:k])] + tail[tuple(image[k:])]
+            for (a, b, _, fb), read, va in zip(pairs, reads, values):
+                vb = fb(image) if read is None else read(at)
                 if va != vb:
                     fault = {"statistic": f"{a} -> {b}",
                              "source_value": _plain(va),
@@ -1034,22 +1073,36 @@ _CODE_PAIRS = {
 
 
 def _check_codes(family, n, workers=1):
+    """Every code pair must be a bijection between the codes and the group,
+    each side the other's inverse.
+
+    At rank r the check takes the code whose digits are r (_split_codes) and,
+    for each pair in turn, decodes it once and tests two things in this
+    order: decode(code) has length n and is a member of the group, and
+    encode(decode(code)) == code.  The member test comes first, so an
+    encoder never sees a non-member.  Passing on every code proves the pair:
+    the round trip makes decode injective on the codes, which are distinct
+    and number group_order (_split_codes), so decode maps them onto the
+    group, a bijection; encode is then its inverse there, and
+    decode(encode(el)) == el follows for every element el, which is
+    therefore not tested.  checked counts both tests, two per pair and code.
+    """
     group_order(family, n)  # refuse a bad n before building any code
     pairs = _CODE_PAIRS[family]
+    member = _MEMBERS[family]
     heads, tails = _split_codes(family, n)
 
     def case(r, el, values):
-        # the code whose digits are r, and then the element of rank r
         code = heads[r % len(heads)] + tails[r // len(heads)]
         for label, encode, decode in pairs:
-            yield None if encode(decode(code)) == code else {
+            decoded = decode(code)
+            yield None if len(decoded) == n and member(decoded) else {
+                "code": list(code), "pair": label,
+                "reason": "decode(code) not in group",
+            }
+            yield None if encode(decoded) == code else {
                 "code": list(code), "pair": label,
                 "reason": "encode(decode(code)) != code",
-            }
-        for label, encode, decode in pairs:
-            yield None if decode(encode(el)) == el else {
-                "element": list(el), "pair": label,
-                "reason": "decode(encode(element)) != element",
             }
 
     return _scan(family, n, case)

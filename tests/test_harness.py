@@ -30,6 +30,28 @@ def test_group_order():
         )
 
 
+def test_group_order_is_the_order_formula_up_to_the_cap():
+    # the codes checks' proof counts the codes against group_order
+    formulas = {"A": lambda n: math.factorial(n),
+                "B": lambda n: 2 ** n * math.factorial(n),
+                "D": lambda n: 2 ** (n - 1) * math.factorial(n)}
+    for family, order in formulas.items():
+        for n in range(harness._MIN_N[family], harness._MAX_N[family] + 1):
+            assert harness.group_order(family, n) == order(n), (family, n)
+
+
+def test_split_codes_are_distinct_and_as_many_as_the_elements():
+    # the other premise of the codes checks' proof: the codes they take, the
+    # head codes joined to the tail codes, are pairwise distinct and number
+    # group_order
+    for family, ns in (("A", range(1, 7)), ("B", range(1, 6)), ("D", range(2, 6))):
+        for n in ns:
+            heads, tails = harness._split_codes(family, n)
+            codes = {h + t for t in tails for h in heads}
+            assert len(codes) == len(heads) * len(tails), (family, n)
+            assert len(codes) == harness.group_order(family, n), (family, n)
+
+
 def test_check_group_bounds():
     for family, n in (("X", 3), ("A", 0), ("A", 10), ("B", 9), ("D", 9), ("D", 1)):
         with pytest.raises(ValueError):
@@ -278,6 +300,27 @@ def test_split_forms_equal_their_kernels():
 def test_split_forms_equal_their_kernels_on_b7_and_d7():
     for family, n in (("B", 7), ("D", 7)):
         assert_split_forms_equal_their_kernels(family, n)
+
+
+def test_split_at_reads_the_sweep_columns_at_every_rank():
+    # the image side of a transport check reads a split statistic at a rank
+    # through _split_at; every kernel's value there is _blocks's, in an
+    # order of ranks that meets the tails out of turn
+    for family, ns in (("A", range(1, 7)), ("B", range(1, 6)), ("D", range(2, 6))):
+        stats = harness._statistics(
+            family, harness.INTEGER_STATISTICS, harness.SET_STATISTICS
+        )
+        names = sorted(name for name, f in stats.items() if f in SPLIT_KERNELS)
+        for n in ns:
+            order = harness.group_order(family, n)
+            columns = [[] for _ in names]
+            for _, _, values in harness._blocks(family, n, names, 0, order):
+                for column, v in zip(columns, values):
+                    column.extend(v)
+            for name, column in zip(names, columns):
+                value = harness._split_at(family, n, stats[name])
+                got = [value(r) for r in reversed(range(order))][::-1]
+                assert got == column, (family, n, name)
 
 
 def test_cycle_statistics_match_the_signed_cycle_decomposition():
@@ -608,6 +651,23 @@ def test_verify_transport():
     doc = report.to_dict()
     json.dumps(doc)  # serializable
     assert doc["check"] == "type-a-transport"
+
+
+@pytest.mark.skipif(
+    os.environ.get("COXCODES_ACCEPT_B7") != "1",
+    reason="set COXCODES_ACCEPT_B7=1 to run the pointwise checks on B7, D7 and A8",
+)
+def test_codes_and_transport_pass_on_b7_d7_and_a8():
+    # a codes check takes two tests per code pair and code, a transport
+    # check one per element
+    for family, n in (("B", 7), ("D", 7), ("A", 8)):
+        order = harness.group_order(family, n)
+        pairs = len(harness._CODE_PAIRS[family])
+        for check, checked in ((f"codes-{family.lower()}", 2 * pairs * order),
+                               (f"type-{family.lower()}-transport", order)):
+            report = harness.run_check(check, n)
+            assert report.passed, report.counterexample
+            assert report.checked == checked, check
 
 
 def test_bijection_registry():
@@ -990,18 +1050,23 @@ def identity_inverse(monkeypatch, family, n):
     monkeypatch.setitem(harness.BIJECTIONS, name, (family, f, lambda s: s, *pairs))
 
 
-def reversed_word(side, at):
-    """The mutant whose second code pair reverses its word on one input: the
-    encoder's (side 1) on the element of rank at, or the decoder's (side 2)
-    on the code at."""
+def wrong_word(index, side, at, wrong):
+    """The mutant whose code pair index gives wrong(word) for its word on one
+    input: the encoder's (side 1) on the element of rank at, or the
+    decoder's (side 2) on the code at."""
     def mutate(monkeypatch, family, n):
         pairs = list(harness._CODE_PAIRS[family])
-        pair = list(pairs[1])
+        pair = list(pairs[index])
         f, target = pair[side], harness.unrank(family, n, at) if side == 1 else at
-        pair[side] = lambda x: f(x)[::-1] if x == target else f(x)
-        pairs[1] = tuple(pair)
+        pair[side] = lambda x: wrong(f(x)) if x == target else f(x)
+        pairs[index] = tuple(pair)
         monkeypatch.setitem(harness._CODE_PAIRS, family, pairs)
     return mutate
+
+
+def reversed_word(side, at):
+    """The mutant whose second code pair reverses its word on one input."""
+    return wrong_word(1, side, at, lambda word: word[::-1])
 
 
 MUTANTS = {
@@ -1051,6 +1116,9 @@ MUTANTS = {
     "acode-encoder-reversed": reversed_word(1, 20),
     "acode-decoder-reversed": reversed_word(2, (1, 2, 3, 3)),
     "fcode-decoder-reversed": reversed_word(2, (1, 1, -3, 1)),
+    # the first pair decodes the code of rank 0 to a non-member, which no
+    # encoder may see: the validating ones refuse it with ValueError
+    "decoder-non-member": wrong_word(0, 2, (1, 1, 1), lambda word: (1, 1, 1)),
 }
 
 
@@ -1116,6 +1184,15 @@ MUTATIONS = [
     ("type-b-gf", 4, "sorting-column-entry", (768, {
         "groups": [["sor_B", "l'_B"], "gf_type_b"], "key": [106, 3], "count": 1,
         "expected": 0, "rank": 1, "element": [-4, 3, 2, 1]})),
+    # the image side of a transport check reads the columns at the image's
+    # rank: the first element whose image lies where the break is fails
+    ("type-b-transport", 4, "sorting-column-entry", (62, {
+        "rank": 61, "element": [-4, -1, 3, 2], "image": [-4, 3, 2, 1],
+        "statistic": "inv_B -> sor_B", "source_value": 6, "image_value": 106})),
+    ("type-b-transport", 4, "cycle-column-entry", (10, {
+        "rank": 9, "element": [-4, 2, 3, 1], "image": [-4, 3, 1, -2],
+        "statistic": "Rmil_B -> Cyc_B", "source_value": [1],
+        "image_value": [1, 100]})),
     # statistic mutants
     ("type-a-gf", 4, "rl-min-off-at-middle", (48, {
         "groups": [["inv", "rl-min"], "gf_type_a"], "key": [3, 3], "count": 2,
@@ -1207,16 +1284,23 @@ MUTATIONS = [
     ("type-a-transport", 4, "identity-inverse", (1, {
         "rank": 0, "element": [4, 3, 2, 1], "image": [4, 1, 2, 3],
         "inverse": [4, 1, 2, 3], "reason": "inverse mismatch"})),
-    # code mutants: a code-side witness is the code of its rank
-    ("codes-b", 3, "acode-encoder-reversed", (104, {
+    # code mutants: a code-side witness is the code of its rank; each pair
+    # takes its member test and then its round trip, so checked counts two
+    # tests per pair before the failing one
+    ("codes-b", 3, "acode-encoder-reversed", (106, {
         "rank": 17, "code": [-1, 1, 3], "pair": "acode",
         "reason": "encode(decode(code)) != code"})),
-    ("codes-a", 4, "acode-decoder-reversed", (104, {
+    ("codes-a", 4, "acode-decoder-reversed", (106, {
         "rank": 17, "code": [1, 2, 3, 3], "pair": "acode",
         "reason": "encode(decode(code)) != code"})),
-    ("codes-d", 4, "fcode-decoder-reversed", (82, {
+    ("codes-d", 4, "fcode-decoder-reversed", (84, {
         "rank": 20, "code": [1, 1, -3, 1], "pair": "fcode",
         "reason": "encode(decode(code)) != code"})),
+    *[(check, 3, "decoder-non-member", (1, {
+        "rank": 0, "code": [1, 1, 1], "pair": pair,
+        "reason": "decode(code) not in group"}))
+      for check, pair in (("codes-a", "lehmer"), ("codes-b", "lehmer"),
+                          ("codes-d", "ecode"))],
 ]
 
 
@@ -1242,6 +1326,19 @@ def judge(monkeypatch, check, n, mutant, pin):
         assert code == tuple(ce["code"])
     else:
         assert harness.unrank(family, n, r) == tuple(ce["element"])
+    if "image" in ce:
+        # the image is the bijection's on the element, and a statistic's
+        # values are read as the sweep counts them: the source's at the rank,
+        # the image's at the image's rank
+        func = harness.BIJECTIONS[bijection_of(family)][1]
+        assert list(func(tuple(ce["element"]))) == ce["image"]
+        if "statistic" in ce:
+            source, image = ce["statistic"].split(" -> ")
+            at = harness.rank(family, n, ce["image"])
+            for name, s, value in ((source, r, ce["source_value"]),
+                                   (image, at, ce["image_value"])):
+                [(_, _, [column])] = harness._blocks(family, n, [name], s, s + 1)
+                assert harness._plain(column[0]) == value
     if "groups" in ce:
         # the group's values at that rank, as the sweep counts them, are the
         # key, and the sweep counts count elements with it
