@@ -15,17 +15,12 @@ import argparse
 import json
 import sys
 
-from . import harness, perm_a, perm_b, perm_d
+from . import harness
 
 CODE_FAMILIES = sorted(
     {label for pairs in harness._CODE_PAIRS.values() for label, _, _ in pairs}
 )
 
-_VALIDATORS = {
-    "A": perm_a.validate_permutation,
-    "B": perm_b.validate_signed,
-    "D": perm_d.validate_even_signed,
-}
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     tokens = text.replace(",", " ").split()
@@ -92,14 +87,14 @@ def _fmt_word(values) -> str:
 
 def _stats_record(family: str, el: tuple[int, ...]) -> dict:
     """Every statistic of the element, integer then set, in registry order."""
-    stats = harness.INTEGER_STATISTICS[family] | harness.SET_STATISTICS[family]
+    stats = harness._statistics(family, harness.INTEGER_STATISTICS, harness.SET_STATISTICS)
     return {key: harness._plain(stat(el)) for key, stat in stats.items()}
 
 
 def cmd_stats(args) -> int:
     if args.family is None:
         raise ValueError("stats needs --family (A, B, or D)")
-    el = _VALIDATORS[args.family](_parse_ints(_payload(args, "element"), "element"))
+    el = harness._VALIDATORS[args.family](_parse_ints(_payload(args, "element"), "element"))
     _check_n(args, len(el))
     record = _stats_record(args.family, el)
     doc = _document(args.family, len(el), {"element": list(el)}, record)
@@ -132,7 +127,7 @@ def cmd_code(args) -> int:
     values = _parse_ints(_payload(args, "payload"), "payload")
     _check_n(args, len(values))
     if args.direction == "encode":
-        el = _VALIDATORS[family](values)
+        el = harness._VALIDATORS[family](values)
         result = encode(el)
         inputs = {"direction": "encode", "code_family": args.code_family,
                   "element": list(el)}
@@ -155,7 +150,7 @@ def cmd_map(args) -> int:
         raise ValueError(
             f"{args.bijection} acts on family {family}, not {args.family}"
         )
-    el = _VALIDATORS[family](_parse_ints(_payload(args, "element"), "element"))
+    el = harness._VALIDATORS[family](_parse_ints(_payload(args, "element"), "element"))
     _check_n(args, len(el))
     image = inv_func(el) if args.inverse else func(el)
     source_stats: dict = {}

@@ -30,14 +30,12 @@ Named checks (see CHECKS) re-prove the equidistribution and transport
 identities by direct evaluation on every element; their results are report
 payloads, never exceptions.  A distribution check (_check_joint, among them
 the paper's type-A and type-B triple theorems) sweeps once over the union
-of its groups' statistics, of any arity and kind; ``checked`` is the number
-of groups times the group order; a statistic whose kernel _SPLITS maps to
-a reader is counted off the same tables as a head column plus a tail part
-(see _sweep), and any other, sor'_D and lt'_D among them, is evaluated per
-element.  A failure gives
-``groups`` (the group and its reference: the first group or the formula),
-the value tuple ``key``, its ``count`` and ``expected``, and the ``rank``
-and ``element`` of the lowest-rank element with the key.
+of its groups' statistics, of any arity and kind, each counted off the same
+tables by its kernel's reader (_element_split); ``checked`` is the number
+of groups times the group order.  A failure gives ``groups`` (the group
+and its reference: the first group or the formula), the value tuple
+``key``, its ``count`` and ``expected``, and the ``rank`` and ``element``
+of the lowest-rank element with the key.
 
 The pointwise checks (transport, oracles, codes, type-d-sor-prime) and that
 witness are cases of one runner, _scan, the only loop that judges an
@@ -154,15 +152,18 @@ def _lehmer_d_decode(c: tuple[int, ...]) -> tuple[int, ...]:
     return (-s[0],) + s[1:] if perm_b.neg_count(s) % 2 else s
 
 
-# Membership tests for rank's boundary, and the unchecked decoders of the
-# ranking code, the signed Lehmer code in every family (on A the Lehmer
-# code).  unrank and the unrank tables decode codes they build from the
-# entry value lists, so valid by construction; rank encodes members only.
+# Membership tests for rank's boundary, the validators the CLI checks its
+# elements with, and the unchecked decoders of the ranking code, the signed
+# Lehmer code in every family (on A the Lehmer code).  unrank and the unrank
+# tables decode codes they build from the entry value lists, so valid by
+# construction; rank encodes members only.
 _MEMBERS = {
     "A": perm_a.is_permutation,
     "B": perm_b.is_signed_permutation,
     "D": perm_d.is_even_signed,
 }
+_VALIDATORS = {"A": perm_a.validate_permutation, "B": perm_b.validate_signed,
+               "D": perm_d.validate_even_signed}
 _DECODERS = {
     "A": perm_b._lehmer_b_decode,
     "B": perm_b._lehmer_b_decode,
@@ -404,9 +405,9 @@ def sweep(family: str, n: int, names: Sequence[str], workers: int = 1) -> Counte
     """Count the tuple of the named statistics' values over the whole group.
 
     names is a sequence, such as a list or tuple, and orders every key.  The
-    group is enumerated once and each named statistic (integer or set) is
-    evaluated once per element; a set value is the increasing tuple its
-    kernel returns.
+    group is walked once, a tail at a time, and each named statistic
+    (integer or set) is read off its kernel's reader (_element_split); a set
+    value is the increasing tuple its kernel returns.
     With workers > 1 the rank range is split into one chunk per worker
     process, with no more processes than os.cpu_count() reports, and the
     chunks' counts are added; addition is associative and commutative, so
@@ -426,10 +427,9 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     tuple of each group of names separately, not the tuple of their union, so
     its memory is that of the groups' tables; sweep is the case of one group.
 
-    A statistic whose registry entry is a key of _SPLITS is counted as a
-    head column plus a tail part over the split of _unrank_tables, which the
-    kernel's reader gives, by one of the three proofs below; any other
-    entry, a replaced or wrapped kernel among them, is called per element.
+    Each statistic is counted as a head column plus a tail part over the
+    split of _unrank_tables, which its kernel's reader gives (_element_split),
+    a key of _SPLITS by one of the three proofs below.
 
     The place split (_place_split).  Write s = h + t (h on places 1..k), x'
     for x's letters barred in any order.  Each such f sums (a set: unites)
@@ -491,7 +491,7 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     and h's w is h relabelled g_p -> word_p as above (_relabelled_column),
     with no chain terms.  This reads the tail's letters, never a code digit.
     sor'_D and lt'_D (whose composite generator flips place 1, a head place)
-    stay per element.
+    have no split reader.
     """
     order = group_order(family, n)
     _check_workers(workers)
@@ -535,31 +535,33 @@ def _blocks(family, n, names, start, stop, elements=False
     """The one walk over the unrank tables: for each tail that the ranks
     start..stop-1 meet, in rank order, (r, block, columns), where r is the
     rank of the tail's first element in the range, block its elements there
-    (heads[lo:hi] joined to fixed) and columns each named statistic's
-    values on them, as the sweep counts them.  A kernel that _SPLITS maps to
-    a reader is read as the reader's head column plus its tail part (see
-    _sweep); any other registry entry is called on each element, a set value
-    being the increasing tuple it returns.  The elements are joined only
-    when such an entry or the caller (elements set) reads them, block being
-    None otherwise.  A block holds at most the head-code count of elements,
-    whatever the group order."""
+    (heads[lo:hi] joined to fixed) if elements is set, else None, and
+    columns each named statistic's values on them, its kernel's reader's
+    head column plus tail part (_element_split), as the sweep counts them.
+    A block holds at most the head-code count of elements."""
     size, tails = _unrank_tables(family, n)
     stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
-    readers = [(stats[name], _SPLITS.get(stats[name])) for name in names]
-    join = elements or any(split is None for _, split in readers)
+    readers = [(f, _SPLITS.get(f, _element_split)) for f in map(stats.get, names)]
     cache: dict = {}  # what the readers keep across tails, keyed per kernel
     for i in range(start // size, -(-stop // size)):
         fixed, heads = tails[i]
         lo, hi = max(start - i * size, 0), min(stop - i * size, size)
-        block = list(map(add, heads[lo:hi], itertools.repeat(fixed))) if join else None
+        block = list(map(add, heads[lo:hi], itertools.repeat(fixed))) if elements else None
         columns = []
         for f, split in readers:
-            if split is None:
-                columns.append(list(map(f, block)))
-            else:
-                column, part = split(f, heads, fixed, cache)
-                columns.append(list(map(add, column[lo:hi], itertools.repeat(part))))
+            column, part = split(f, heads, fixed, cache)
+            columns.append(list(map(add, column[lo:hi], itertools.repeat(part))))
         yield i * size + lo, block, columns
+
+
+def _element_split(f, heads, fixed, cache) -> tuple[list, object]:
+    """(column, part) for a kernel that _SPLITS maps to no reader, such as
+    sor'_D, lt'_D and any replaced or wrapped registry entry: it is
+    evaluated per element, the column being f on each element h + fixed of
+    the tail, and part is 0, or () for a set value.  _blocks and _split_at
+    take each kernel's reader as _SPLITS.get(f, _element_split)."""
+    column = list(map(f, map(add, heads, itertools.repeat(fixed))))
+    return column, () if isinstance(column[0], tuple) else 0
 
 
 def _place_split(f, heads, fixed, cache) -> tuple[list, object]:
@@ -667,8 +669,8 @@ def _cycle_tail(f, g, fixed) -> tuple:
 
 # each kernel proven equal to its split form (see _sweep) -> its reader,
 # called as reader(f, heads, fixed, cache) for (column, part); sor, cyc and
-# Cyc of A are sor_b, cyc_b and cyc_b_set, and a replaced or wrapped
-# registry entry is no key
+# Cyc of A are sor_b, cyc_b and cyc_b_set, and any other kernel is read by
+# _element_split
 _SPLITS: dict[Callable, Callable] = {
     **dict.fromkeys((
         perm_a.inv, perm_b.inv_b, perm_d.inv_d, perm_b.neg_count, perm_b.lr_max_b,
@@ -682,14 +684,14 @@ _SPLITS: dict[Callable, Callable] = {
 
 
 def _split_at(family, n, f) -> Callable[[int], object]:
-    """Random access to a kernel that _SPLITS maps to a reader: the function
-    of a rank r giving f's value at r as the sweep counts it, column[r % size]
-    + part of the reader on tail r // size.  The reader runs once per tail,
-    when a rank first meets it, and its (column, part) is kept: place and
-    cycle columns are shared per head list or word, and a sorting column is
-    a 16-bit array of the tail's own."""
+    """Random access to any registry entry f: the function of a rank r
+    giving f's value at r as the sweep counts it, column[r % size] + part of
+    f's reader (_element_split) on tail r // size.  The reader runs once per
+    tail, when a rank first meets it, and its (column, part) is kept: place
+    and cycle columns are shared per head list or word, and a sorting or
+    element column is the tail's own."""
     size, tails = _unrank_tables(family, n)
-    split, cache = _SPLITS[f], {}
+    split, cache = _SPLITS.get(f, _element_split), {}
     read: list = [None] * len(tails)
 
     def value(r):
@@ -818,19 +820,17 @@ def _check_transport(bijection, n, workers=1):
 
     The statistics are read as the sweep counts them.  Once the image has
     passed both tests it is a member, so _rank_tables ranks it by two
-    lookups (as a tuple, whatever sequence func returns), and each image
-    statistic whose kernel _SPLITS maps to a reader is read at that rank
-    (_split_at); any other entry, a replaced or wrapped one among them, is
-    called on the image.  The lookups come after the tests because they do
-    not prove membership: a non-member's halves can both be keys.
+    lookups (as a tuple, whatever sequence func returns), and every image
+    statistic is read at that rank (_split_at).  The lookups come after the
+    tests because they do not prove membership: a non-member's halves can
+    both be keys.
     """
     family, func, inv_func = BIJECTIONS[bijection][:3]
     group_order(family, n)  # refuse a bad n before building any table
     pairs = _transport_pairs(bijection)
     member = _MEMBERS[family]
     k, head, tail = _rank_tables(family, n)
-    reads = [_split_at(family, n, fb) if fb in _SPLITS else None
-             for *_, fb in pairs]
+    reads = [_split_at(family, n, fb) for *_, fb in pairs]
 
     def case(r, el, values):
         image = func(el)
@@ -845,9 +845,8 @@ def _check_transport(bijection, n, workers=1):
                 fault = {"inverse": list(back), "reason": "inverse mismatch"}
         else:
             at = head[tuple(image[:k])] + tail[tuple(image[k:])]
-            for (a, b, _, fb), read, va in zip(pairs, reads, values):
-                vb = fb(image) if read is None else read(at)
-                if va != vb:
+            for (a, b, _, _), read, va in zip(pairs, reads, values):
+                if va != (vb := read(at)):
                     fault = {"statistic": f"{a} -> {b}",
                              "source_value": _plain(va),
                              "image_value": _plain(vb)}

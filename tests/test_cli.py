@@ -61,6 +61,11 @@ def test_stats_usage_errors(capsys):
     assert code == 2 and "does not match" in err
     code, _, err = run_cli(capsys, ["stats", "--family", "D", "1 -2 3"])
     assert code == 2 and "odd number" in err
+    code, out, err = run_cli(capsys, ["stats", "--family", "A", "2 x 3"])
+    assert (code, out) == (2, "")
+    assert err == "error: invalid integer token 'x' in element\n"
+    code, out, err = run_cli(capsys, ["stats", "--family", "A", ","])
+    assert (code, out, err) == (2, "", "error: empty element\n")
 
 
 def test_code_encode_after_flag(capsys):

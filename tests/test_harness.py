@@ -302,15 +302,24 @@ def test_split_forms_equal_their_kernels_on_b7_and_d7():
         assert_split_forms_equal_their_kernels(family, n)
 
 
-def test_split_at_reads_the_sweep_columns_at_every_rank():
-    # the image side of a transport check reads a split statistic at a rank
-    # through _split_at; every kernel's value there is _blocks's, in an
-    # order of ranks that meets the tails out of turn
+def test_split_at_reads_the_sweep_columns_at_every_rank(monkeypatch):
+    # the image side of a transport check reads a statistic at a rank
+    # through _split_at; every registry entry's value there is _blocks's, in
+    # an order of ranks that meets the tails out of turn.  The entries are
+    # the registries' and a wrapped integer and set entry, which, like
+    # sor'_D and lt'_D, have no split reader
     for family, ns in (("A", range(1, 7)), ("B", range(1, 6)), ("D", range(2, 6))):
+        inv = next(iter(harness.INTEGER_STATISTICS[family].values()))
+        monkeypatch.setitem(harness.INTEGER_STATISTICS[family], "wrapped",
+                            lambda s, f=inv: f(s))
+        monkeypatch.setitem(harness.SET_STATISTICS[family], "Wrapped",
+                            lambda s: perm_b.cyc_b_set(s))
         stats = harness._statistics(
             family, harness.INTEGER_STATISTICS, harness.SET_STATISTICS
         )
-        names = sorted(name for name, f in stats.items() if f in SPLIT_KERNELS)
+        names = sorted(stats)
+        assert set(names) - SPLIT_NAMES[family] == {"wrapped", "Wrapped"} | (
+            {"sor'_D", "lt'_D"} if family == "D" else set())
         for n in ns:
             order = harness.group_order(family, n)
             columns = [[] for _ in names]
@@ -351,6 +360,10 @@ def test_enumerate_group_refuses_non_integer_bounds():
     # call itself refuses, before any element is asked for
     for bounds in ((True,), (0, True), (False, 6), ("1",), (0, "6"), (1.0,), (0, 2.5)):
         with pytest.raises(ValueError):
+            harness.enumerate_group("A", 3, *bounds)
+    # integer bounds must satisfy 0 <= start <= stop <= order
+    for bounds in ((4, 2), (0, 7), (-1, 2)):
+        with pytest.raises(ValueError, match="bad range"):
             harness.enumerate_group("A", 3, *bounds)
     for family, n in (("X", 3), ("A", 10)):
         with pytest.raises(ValueError):
@@ -571,32 +584,6 @@ def pinned_reports(names):
         for n in range(harness._MIN_N[family], top + 1):
             for workers in (1, 2):
                 yield name, n, workers
-
-
-def reports_sha256(names):
-    """One hash of the JSON of every pinned report of the named checks."""
-    digest = hashlib.sha256()
-    for key in pinned_reports(names):
-        digest.update(report_json(*key).encode())
-    return digest.hexdigest()
-
-
-def test_distribution_reports_keep_their_bytes():
-    assert reports_sha256(DISTRIBUTION_CHECKS) == (
-        "ff289bf256d1a65c5a1cff01bba8df0dfa9cea0420aa9083e67346a8df3597af"
-    )
-
-
-def test_triples_reports_keep_their_bytes():
-    assert reports_sha256(TRIPLES_CHECKS) == (
-        "e4fe40cdbd41b01ab632faba5a558c91af0d84c55daf4228f116725bf491daf2"
-    )
-
-
-def test_pointwise_reports_keep_their_bytes():
-    assert reports_sha256(POINTWISE_CHECKS) == (
-        "fff56fc871c2e4fa89a293819e05ecc103ab83f32a64cb8a0e8b1105c7689c1a"
-    )
 
 
 def test_each_pinned_report_keeps_its_digest():
@@ -1429,9 +1416,9 @@ SPLIT_ENTRIES = split_entries()
 def test_a_wrapped_entry_never_reaches_a_broken_reader(
     monkeypatch, family, table, name
 ):
-    # a replaced or wrapped registry entry is no key of _SPLITS, so it takes
-    # the per-element path, which a reader broken on every tail does not
-    # reach
+    # a replaced or wrapped registry entry is no key of _SPLITS, so
+    # _element_split reads it per element, and a reader broken on every
+    # tail does not reach it
     n, kernel = 4, table[family][name]
     order = harness.group_order(family, n)
     expected = list(map(kernel, harness.enumerate_group(family, n)))

@@ -69,6 +69,9 @@ def test_apply_generator():
         perm_d.apply_generator(e, 4, 3)
     with pytest.raises(ValueError):
         perm_d.apply_generator(e, 0, 2)
+    # (-1, 1) would flip place 1 twice: no composite exists at j = 1
+    with pytest.raises(ValueError, match="no composite generator"):
+        perm_d.apply_generator((1, 2), -1, 1)
     # bool and float compare equal to letters but are refused, the
     # composite and the identity marker included
     for a, j in ((True, 2), (1.0, 2), (-2.0, 2), (-2, 2.0), (3.0, 3), (True, True)):
