@@ -10,9 +10,11 @@ c_1 carries no digit, since place 1 takes the sign that makes the bars
 even, so D's rank is B's rank halved.  unrank decodes one code;
 enumerate_group decodes none per element: it joins head words (places
 1..k, fixed by c_1..c_k) to tail words (places k+1..n, fixed by
-c_{k+1}..c_n), tabulated once per group (_unrank_tables), every head list
-relabelled from one.  One walker, _blocks, reads those tables a tail at a
-time, for enumeration, for a sweep's columns and for every scan.
+c_{k+1}..c_n), tabulated once per group (_unrank_tables), each head list
+decoded once and shared by every tail that leaves it the same letters
+(in D, with the same bar parity).  One walker, _blocks, reads those tables
+a tail at a time, for enumeration, for a sweep's columns and for every
+scan.
 Supported ranks: A up to 9, B up to 8, D from 2 up to 8; anything larger
 is refused outright rather than truncated.
 
@@ -210,30 +212,26 @@ def _unrank_tables(family: str, n: int) -> tuple[int, list]:
     k+1..n and the head places 1..k: the element of rank r is head word
     r % size joined to tail r // size.  Each tail entry is (fixed, heads):
     fixed is what the tail decodes to, heads the head words of every head
-    code in rank order.  The decoder takes the head's letters, by index,
-    from the values V the tail leaves, so a head word on V is the word of
-    its head code on 1..k with each letter i relabelled V[i - 1], sign kept;
-    in D place 1 also flips when the tail has an odd number of bars.  One
-    list serves every tail with that V (and in D parity): one decode per
-    tail and per head code.  The cache keeps the last group's tables, which
-    _blocks reads for enumeration, the sweep and every scan, unchanged.
+    code in rank order.  The decoder fills places n..k+1 from the tail code,
+    then places 1..k from the values V the tail leaves; D then flips place 1
+    by the parity of all the bars.  So a head list depends on V and, in D,
+    on the tail's bar parity alone, and the head word of h0 = head_codes[0],
+    which has no bar, names both: its letters are V, and in D its place-1
+    sign is that parity.  Each list is decoded once, from the first tail
+    whose first head word names it, and serves every tail it names, so no
+    head word is in two lists.  The cache keeps the last group's tables,
+    which _blocks reads for enumeration, the sweep and every scan, unchanged.
     """
     decode = _DECODERS[family]
     head_codes, tail_codes = _split_codes(family, n)
     k = len(head_codes[0])
-    # c_i = i for i > k decodes to the tail k+1..n, leaving 1..k to the head
-    base = [decode(h + tuple(range(k + 1, n + 1)))[:k] for h in head_codes]
     lists: dict[tuple, list] = {}
     tails = []
     for t in tail_codes:
-        fixed = decode(head_codes[0] + t)[k:]
-        values = tuple(sorted(set(range(1, n + 1)) - set(map(abs, fixed))))
-        flip = family == "D" and perm_b.neg_count(fixed) % 2 == 1
-        if (values, flip) not in lists:
-            heads = [tuple(values[x - 1] if x > 0 else -values[-x - 1] for x in w)
-                     for w in base]
-            lists[values, flip] = [(-w[0],) + w[1:] for w in heads] if flip else heads
-        tails.append((fixed, lists[values, flip]))
+        first = decode(head_codes[0] + t)
+        if first[:k] not in lists:
+            lists[first[:k]] = [decode(h + t)[:k] for h in head_codes]
+        tails.append((first[k:], lists[first[:k]]))
     return len(head_codes), tails
 
 
@@ -554,14 +552,16 @@ def _blocks(family, n, names, start, stop, elements=False
         yield i * size + lo, block, columns
 
 
-def _element_split(f, heads, fixed, cache) -> tuple[list, object]:
+def _element_split(f, heads, fixed, cache) -> tuple[Sequence, object]:
     """(column, part) for a kernel that _SPLITS maps to no reader, such as
     sor'_D, lt'_D and any replaced or wrapped registry entry: it is
     evaluated per element, the column being f on each element h + fixed of
-    the tail, and part is 0, or () for a set value.  _blocks and _split_at
-    take each kernel's reader as _SPLITS.get(f, _element_split)."""
+    the tail, and part is 0, or () for a set value.  An integer column is a
+    16-bit array, so that _split_at, which keeps every tail's column, holds
+    two bytes an element, not a list slot.  _blocks and _split_at take each
+    kernel's reader as _SPLITS.get(f, _element_split)."""
     column = list(map(f, map(add, heads, itertools.repeat(fixed))))
-    return column, () if isinstance(column[0], tuple) else 0
+    return (column, ()) if isinstance(column[0], tuple) else (array("h", column), 0)
 
 
 def _place_split(f, heads, fixed, cache) -> tuple[list, object]:
@@ -582,11 +582,14 @@ def _relabelled_column(f, heads, word, cache) -> Sequence:
     """f on each head h relabelled letter by letter, g_p -> word_p and
     -g_p -> -word_p for g = heads[0].
 
-    Every head list is one list on 1..k relabelled by positive letters, in D
-    with place 1 flipped under a tail of odd bars, which the signs of g's
-    letters tell apart.  So the relabelled list is that list relabelled by
-    the k-word map that takes its first word to word, and one column serves
-    every head list with g's signs and word.  cache keeps each column, an
+    This rests on the decoder, which _unrank_tables decodes each list by:
+    it takes a head's letters, by index, from the values V the tail leaves,
+    so every head list is one list on 1..k relabelled i -> V[i - 1], sign
+    kept, and in D place 1 flips too under a tail of odd bars, which the
+    signs of g's letters tell apart.  So the relabelled list is that list
+    relabelled by the k-word map that takes its first word to word, and one
+    column serves every head list with g's signs and word; the cycle and
+    sorting split proofs test this.  cache keeps each column, an
     integer one as a byte array (f on a k-word lies within +-k^2), and f on
     each k-word."""
     key = f, word, tuple(x < 0 for x in heads[0])
@@ -689,7 +692,8 @@ def _split_at(family, n, f) -> Callable[[int], object]:
     f's reader (_element_split) on tail r // size.  The reader runs once per
     tail, when a rank first meets it, and its (column, part) is kept: place
     and cycle columns are shared per head list or word, and a sorting or
-    element column is the tail's own."""
+    element column is the tail's own, a 16-bit array if its values are
+    integers."""
     size, tails = _unrank_tables(family, n)
     split, cache = _SPLITS.get(f, _element_split), {}
     read: list = [None] * len(tails)

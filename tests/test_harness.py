@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 from collections import Counter
 from functools import cache, partial
 from pathlib import Path
@@ -234,13 +235,25 @@ def decoded_tables(family, n):
 
 
 def test_relabelled_tables_equal_the_decoded_ones():
-    # every head list is the list on 1..k relabelled, with place 1 flipped in
-    # D under a tail of odd bars; each equals what the decoder gives
+    # each head list is decoded once, under the first tail whose first head
+    # word names it, and shared by every tail that names it: keying the lists
+    # by that word never merges two lists that the decoder tells apart
     groups = [(family, n) for family, ns in (
         ("A", range(1, 9)), ("B", range(1, 7)), ("D", range(2, 8))) for n in ns]
     for family, n in groups:
         assert harness._unrank_tables(family, n) == decoded_tables(family, n), (
             family, n)
+
+
+def test_head_lists_are_shared_per_value_set_and_parity():
+    # the tables keep one head list per set of k values a tail leaves, and in
+    # D one per such set and bar parity, which _rank_tables and the readers'
+    # per-list caches rely on; a list per tail would keep every value
+    for family in harness.FAMILIES:
+        for n in range(harness._MIN_N[family], harness._MAX_N[family] + 1):
+            lists = {id(heads) for _, heads in harness._unrank_tables(family, n)[1]}
+            sets = math.comb(n, (n + 1) // 2)
+            assert len(lists) == (2 * sets if family == "D" else sets), (family, n)
 
 
 # the statistics each family's sweep counts by their split form, the reader
@@ -330,6 +343,55 @@ def test_split_at_reads_the_sweep_columns_at_every_rank(monkeypatch):
                 value = harness._split_at(family, n, stats[name])
                 got = [value(r) for r in reversed(range(order))][::-1]
                 assert got == column, (family, n, name)
+
+
+# the groups at the rank cap and one below it in B and D, where tier-1 proves
+# no split reader on the whole group
+CAP_GROUPS = (("A", 9), ("B", 7), ("B", 8), ("D", 7), ("D", 8))
+
+
+def assert_sampled_ranks_read_their_kernels(family, n):
+    """At 200 ranks drawn with a fixed seed, the unrank tables give the
+    decoder's element and every registry entry's _split_at gives its
+    kernel's value on that element."""
+    size, tails = harness._unrank_tables(family, n)
+    ranks = random.Random(2026).sample(range(harness.group_order(family, n)), 200)
+    elements = [harness.unrank(family, n, r) for r in ranks]
+    for r, element in zip(ranks, elements):
+        fixed, heads = tails[r // size]
+        assert heads[r % size] + fixed == element, (family, n, r)
+    stats = harness._statistics(
+        family, harness.INTEGER_STATISTICS, harness.SET_STATISTICS
+    )
+    for name, f in stats.items():
+        value = harness._split_at(family, n, f)
+        assert [value(r) for r in ranks] == list(map(f, elements)), (family, n, name)
+
+
+def test_split_readers_and_tables_at_the_cap():
+    for family, n in CAP_GROUPS:
+        assert_sampled_ranks_read_their_kernels(family, n)
+
+
+def test_a_fault_on_four_letter_tails_shows_only_at_the_cap(monkeypatch):
+    # a place-split part one too large on tails of 4 letters with a bar,
+    # which only B8 and D8 have: the whole-group proof never meets it, the
+    # sampled test at the cap does
+    place_split = harness._place_split
+
+    def broken(f, heads, fixed, cache):
+        column, part = place_split(f, heads, fixed, cache)
+        if len(fixed) == 4 and min(fixed) < 0 and not isinstance(part, tuple):
+            part += 1
+        return column, part
+
+    for kernel, reader in list(harness._SPLITS.items()):
+        if reader is place_split:
+            monkeypatch.setitem(harness._SPLITS, kernel, broken)
+    test_split_forms_equal_their_kernels()
+    for family, n in (("B", 8), ("D", 8)):
+        with pytest.raises(AssertionError, match=f"'inv_{family}'"):
+            assert_sampled_ranks_read_their_kernels(family, n)
 
 
 def test_cycle_statistics_match_the_signed_cycle_decomposition():
