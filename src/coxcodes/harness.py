@@ -33,7 +33,7 @@ identities by direct evaluation on every element; their results are report
 payloads, never exceptions.  A distribution check (_check_joint, among them
 the paper's type-A and type-B triple theorems) sweeps once over the union
 of its groups' statistics, of any arity and kind, each counted off the same
-tables by its kernel's reader (_element_split); ``checked`` is the number
+tables by its kernel's reader (_read); ``checked`` is the number
 of groups times the group order.  A failure gives ``groups`` (the group
 and its reference: the first group or the formula), the value tuple
 ``key``, its ``count`` and ``expected``, and the ``rank`` and ``element``
@@ -404,8 +404,8 @@ def sweep(family: str, n: int, names: Sequence[str], workers: int = 1) -> Counte
 
     names is a sequence, such as a list or tuple, and orders every key.  The
     group is walked once, a tail at a time, and each named statistic
-    (integer or set) is read off its kernel's reader (_element_split); a set
-    value is the increasing tuple its kernel returns.
+    (integer or set) is read off its kernel's reader (_read); a set value is
+    the increasing tuple its kernel returns.
     With workers > 1 the rank range is split into one chunk per worker
     process, with no more processes than os.cpu_count() reports, and the
     chunks' counts are added; addition is associative and commutative, so
@@ -426,24 +426,32 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     its memory is that of the groups' tables; sweep is the case of one group.
 
     Each statistic is counted as a head column plus a tail part over the
-    split of _unrank_tables, which its kernel's reader gives (_element_split),
-    a key of _SPLITS by one of the three proofs below.
+    split of _unrank_tables: its kernel's reader, a key of _SPLITS by one of
+    the three proofs below or else _element_split, gives the column, and one
+    rule gives the part (_read), f(g + t) less the column's first entry, for
+    g = heads[0] and t the tail.  That rule is exact when the column is f up
+    to a constant per tail: column[j] - column[0] = f(h_j + t) - f(g + t)
+    for an integer f, and for a set f column[j] holds the members that h_j
+    decides, which precede the tail's, the same for every head.  Each proof
+    states that property.
 
-    The place split (_place_split).  Write s = h + t (h on places 1..k), x'
-    for x's letters barred in any order.  Each such f sums (a set: unites)
+    The place split (_place_split).  Write s = h + t (h on places 1..k) and
+    t' for t with every letter barred.  Each such f sums (a set: unites)
     terms over places and pairs of places, where the terms within the head
-    read the tail, and the other terms in sum read the head, only by its set
-    of absolute values:
+    read the tail, and the other terms read the head, only by its set of
+    absolute values:
     |s(i)| > s(j) for an inversion, s(i) > |s(q)| for q < i for lr-max,
     0 < s(i) < |s(q)| for q > i for rl-min, s(i) < 0 for N, s(i) = -1 in
-    nmin_D, 1 per place for the n of nmin and nmax_B.  With u = h + t',
-    v = h' + t and w = h' + t', u has s's head terms and w's others, v has
-    w's head terms and s's others: f(s) = (f(u) - f(w)) + f(v), and a set's
-    f(w) is empty, no barred letter being a member.  The set one part reads
-    is the complement of its own, so one head column serves every tail of a
-    head list, and one tail part every head.  This partitions f's definition
-    by places, with no code digit or product formula, so a formula check
-    still tests the kernel, which a whole-group test proves the split equals.
+    nmin_D, 1 per place for the n of nmin and nmax_B.  So the column
+    f(h + t') has s's head terms, and its other terms, like s's, are the
+    same for every head of the tail; it reads t only by the values it
+    leaves, so one column serves every tail of a head list.  A set's f(h +
+    t') holds only the members the head decides, no barred letter being a
+    member, and they precede the tail's: Lmap's are head places, and a head
+    letter in Rmil lies below every later letter's absolute value.  This
+    partitions f's definition by places, with no code digit or product
+    formula, so a formula check still tests the kernel, which a whole-group
+    test proves the split equals.
 
     The sorting split (_sorting_split: sor, which is sor_B on A, sor_B and
     sor_D) sums a term j - c_j, less a bar cost of 1 (sor_D: 2) when c_j < 0,
@@ -461,15 +469,16 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     with each big letter replaced by its chain's final letter, a k-word on
     which steps j <= k are f's own walk.  Take g = heads[0], whose letters
     g_p are those of h up to order and sign, and S_p the signed step sum of
-    the chain that g_p starts in the walk on g + t.  Then f(s) = part + the
+    the chain that g_p starts in the walk on g + t.  Then f(s) = P + the
     sum over places q of h of -S_p * q where h holds g_p and
     S_p * (q - cost) where it holds -g_p (S_p = 0 for a small letter) +
-    f(k-word), part being the sum of t's terms and, over the chain steps of
-    that walk, of j less the cost for a barred c_j.  That one walk gives
-    part, each S_p and the k-word of g, and h's k-word is h relabelled
-    g_p -> word_p, -g_p -> -word_p, word being g's: f on the k-words is one
-    column per word, shared by the head lists (_relabelled_column), plus
-    the chain terms.
+    f(k-word), P being the sum of t's terms and, over the chain steps of
+    that walk, of j less the cost for a barred c_j, the same for every
+    head.  That one walk gives each S_p and the k-word of g, and h's k-word
+    is h relabelled g_p -> word_p, -g_p -> -word_p, word being g's.  So the
+    column, f on the k-words plus the chain terms, is f less P, and f on
+    the k-words is one column per word, shared by the head lists
+    (_relabelled_column).
 
     The cycle split (_cycle_split: cyc_B, Cyc_B and l'_B, which are cyc and
     Cyc on A) reads the balanced cycles of the walk x -> |s(x)|, those whose
@@ -484,10 +493,10 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     fixed by t, with minima above k.  So with c the tail's balanced cycles
     and M their minima, cyc_B(s) = cyc_B(w) + c, Cyc_B(s) is Cyc_B(w)
     followed by M, still increasing, and l'_B(s) = n - cyc_B(s) =
-    l'_B(w) + (n - k - c).  That part, c, M or n - k - c, is f(g + t) less
-    f(word) (a set: less its first members), word being g's w (_cycle_tail),
-    and h's w is h relabelled g_p -> word_p as above (_relabelled_column),
-    with no chain terms.  This reads the tail's letters, never a code digit.
+    l'_B(w) + (n - k - c): the column, f on each head's w, is f up to the
+    tail's share.  h's w is h relabelled g_p -> word_p as above, word being
+    g's w (_cycle_tail, _relabelled_column), with no chain terms.  This
+    reads the tail's letters, never a code digit.
     sor'_D and lt'_D (whose composite generator flips place 1, a head place)
     have no split reader.
     """
@@ -534,9 +543,9 @@ def _blocks(family, n, names, start, stop, elements=False
     start..stop-1 meet, in rank order, (r, block, columns), where r is the
     rank of the tail's first element in the range, block its elements there
     (heads[lo:hi] joined to fixed) if elements is set, else None, and
-    columns each named statistic's values on them, its kernel's reader's
-    head column plus tail part (_element_split), as the sweep counts them.
-    A block holds at most the head-code count of elements."""
+    columns each named statistic's values on them, its reader's head column
+    plus tail part (_read), as the sweep counts them.  A block holds at most
+    the head-code count of elements."""
     size, tails = _unrank_tables(family, n)
     stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
     readers = [(f, _SPLITS.get(f, _element_split)) for f in map(stats.get, names)]
@@ -547,35 +556,42 @@ def _blocks(family, n, names, start, stop, elements=False
         block = list(map(add, heads[lo:hi], itertools.repeat(fixed))) if elements else None
         columns = []
         for f, split in readers:
-            column, part = split(f, heads, fixed, cache)
+            column, part = _read(f, split, heads, fixed, cache)
             columns.append(list(map(add, column[lo:hi], itertools.repeat(part))))
         yield i * size + lo, block, columns
 
 
-def _element_split(f, heads, fixed, cache) -> tuple[Sequence, object]:
-    """(column, part) for a kernel that _SPLITS maps to no reader, such as
-    sor'_D, lt'_D and any replaced or wrapped registry entry: it is
-    evaluated per element, the column being f on each element h + fixed of
-    the tail, and part is 0, or () for a set value.  An integer column is a
-    16-bit array, so that _split_at, which keeps every tail's column, holds
-    two bytes an element, not a list slot.  _blocks and _split_at take each
-    kernel's reader as _SPLITS.get(f, _element_split)."""
+def _read(f, split, heads, fixed, cache) -> tuple[Sequence, object]:
+    """(column, part) of f on a tail, the column being f's reader's, split,
+    and part f(g + fixed) less column[0], g = heads[0]: a set's part is the
+    members of f(g + fixed) after column[0]'s.  column[j] + part is then f
+    on heads[j] + fixed for every reader whose column is f up to a constant
+    per tail, which _sweep proves of each one."""
+    column = split(f, heads, fixed, cache)
+    whole = f(heads[0] + fixed)
+    part = whole[len(column[0]):] if isinstance(whole, tuple) else whole - column[0]
+    return column, part
+
+
+def _element_split(f, heads, fixed, cache) -> Sequence:
+    """The column of a kernel that _SPLITS maps to no reader, such as sor'_D,
+    lt'_D and any replaced or wrapped registry entry: it is evaluated per
+    element, f on each element h + fixed of the tail.  An integer column is
+    a 16-bit array, so that _split_at, which keeps every tail's column,
+    holds two bytes an element, not a list slot.  _blocks and _split_at
+    take each kernel's reader as _SPLITS.get(f, _element_split)."""
     column = list(map(f, map(add, heads, itertools.repeat(fixed))))
-    return (column, ()) if isinstance(column[0], tuple) else (array("h", column), 0)
+    return column if isinstance(column[0], tuple) else array("h", column)
 
 
-def _place_split(f, heads, fixed, cache) -> tuple[list, object]:
-    """(column, part) for a place-split kernel: the column holds
-    f(h + t') - f(g' + t') for each h in heads, g = heads[0] and t = fixed,
-    x' being x barred, one column per head list; part is f(g' + t)."""
-    barred = tuple(-abs(x) for x in heads[0])
+def _place_split(f, heads, fixed, cache) -> Sequence:
+    """The column of a place-split kernel: f on each h + t', h in heads and
+    t' the tail fixed with every letter barred (_element_split), kept per
+    head list."""
     key = f, heads[0]
     if key not in cache:
-        barred_tail = tuple(-abs(x) for x in fixed)
-        column = [f(h + barred_tail) for h in heads]
-        c = f(barred + barred_tail)  # a set's is ()
-        cache[key] = [v - c for v in column] if c else column
-    return cache[key], f(barred + fixed)
+        cache[key] = _element_split(f, heads, tuple(-abs(x) for x in fixed), cache)
+    return cache[key]
 
 
 def _relabelled_column(f, heads, word, cache) -> Sequence:
@@ -608,29 +624,23 @@ def _relabelled_column(f, heads, word, cache) -> Sequence:
     return cache[key]
 
 
-def _sorting_split(cost, f, heads, fixed, cache) -> tuple[Sequence[int], int]:
-    """(column, part) for a sorting index whose barred code entry costs cost.
+def _sorting_split(cost, f, heads, fixed, cache) -> Sequence[int]:
+    """The column of a sorting index whose barred code entry costs cost.
 
-    One walk on g + fixed, g = heads[0]: each step j > k has the term
-    j - c_j, less cost when c_j < 0.  part sums the terms, each with c_j
-    added back where |c_j| <= k is a head place p, whose -c_j the column
-    counts; the walk leaves a k-word, word, in places 1..k, and steps[p - 1]
-    is the signed count of its steps at head place p, the step sum S of the
-    chain that g_p starts.  The column is f on each head h relabelled
-    (_relabelled_column) plus a chain term for each place q of h: -S * q
-    where h holds g_p, S * (q - cost) where it holds -g_p.  cache also keeps,
-    as byte arrays, the chain term per unit of S for each head of a head
-    list; the chain terms are added per tail, into a fresh column kept as a
-    16-bit array."""
+    One walk on g + fixed, g = heads[0], leaves a k-word, word, in places
+    1..k, and steps[p - 1] is the signed count of its steps j > k at head
+    place p, the step sum S of the chain that g_p starts.  The column is f
+    on each head h relabelled (_relabelled_column) plus a chain term for
+    each place q of h: -S * q where h holds g_p, S * (q - cost) where it
+    holds -g_p.  cache also keeps, as byte arrays, the chain term per unit
+    of S for each head of a head list; the chain terms are added per tail,
+    into a fresh column kept as a 16-bit array."""
     g, k = heads[0], len(heads[0])
     code = perm_b._sorting_code(g + fixed, False)[0]
-    part, steps = 0, [0] * k
-    for j, c in enumerate(code[k:], k + 1):
-        part += j - (cost if c < 0 else 0)
+    steps = [0] * k
+    for c in code[k:]:
         if -k <= c <= k:
             steps[abs(c) - 1] += 1 if c > 0 else -1
-        else:
-            part -= c
     if (f, g) not in cache:
         at = [{x: q for q, x in enumerate(h, 1)} for h in heads]
         cache[f, g] = [array("b", [-p[x] if x in p else p[-x] - cost for p in at])
@@ -640,23 +650,20 @@ def _sorting_split(cost, f, heads, fixed, cache) -> tuple[Sequence[int], int]:
     for s, unit in zip(steps, cache[f, g]):
         if s:
             column = [c + s * u for c, u in zip(column, unit)]
-    return (array("h", column) if isinstance(column, list) else column), part
+    return array("h", column) if isinstance(column, list) else column
 
 
-def _cycle_split(f, heads, fixed, cache) -> tuple[Sequence, object]:
-    """(column, part) for a cycle kernel: f on each head relabelled by the
-    word of the tail's cycle walk (_cycle_tail, _relabelled_column), and the
-    share of the cycles within the tail."""
-    part, word = _cycle_tail(f, heads[0], fixed)
-    return _relabelled_column(f, heads, word, cache), part
+def _cycle_split(f, heads, fixed, cache) -> Sequence:
+    """The column of a cycle kernel: f on each head relabelled by the word
+    of the tail's cycle walk (_cycle_tail, _relabelled_column)."""
+    return _relabelled_column(f, heads, _cycle_tail(heads[0], fixed), cache)
 
 
-def _cycle_tail(f, g, fixed) -> tuple:
-    """(part, word) for a tail: word_p is +-q, q being the head place where
-    the cycle walk x -> |s(x)| on g + fixed, leaving head place p, first
-    returns to the head, barred when g_p and the tail letters it passed carry
-    an odd number of bars; part is f(g + fixed) less f(word), the share of
-    the cycles within the tail (a set's: their minima, all above k)."""
+def _cycle_tail(g, fixed) -> tuple:
+    """The word of a tail: word_p is +-q, q being the head place where the
+    cycle walk x -> |s(x)| on g + fixed, leaving head place p, first returns
+    to the head, barred when g_p and the tail letters it passed carry an odd
+    number of bars."""
     k = len(g)
     word = []
     for x in g:
@@ -665,15 +672,13 @@ def _cycle_tail(f, g, fixed) -> tuple:
             x = fixed[y - k - 1]
             y, bars = abs(x), bars ^ (x < 0)
         word.append(-y if bars else y)
-    word = tuple(word)
-    whole, head = f(g + fixed), f(word)
-    return (whole[len(head):] if isinstance(whole, tuple) else whole - head), word
+    return tuple(word)
 
 
-# each kernel proven equal to its split form (see _sweep) -> its reader,
-# called as reader(f, heads, fixed, cache) for (column, part); sor, cyc and
-# Cyc of A are sor_b, cyc_b and cyc_b_set, and any other kernel is read by
-# _element_split
+# each kernel whose split form is proven (see _sweep) -> its reader, called
+# as reader(f, heads, fixed, cache) for a column that is f up to a constant
+# per tail, to which _read adds the part; sor, cyc and Cyc of A are sor_b,
+# cyc_b and cyc_b_set, and any other kernel is read by _element_split
 _SPLITS: dict[Callable, Callable] = {
     **dict.fromkeys((
         perm_a.inv, perm_b.inv_b, perm_d.inv_d, perm_b.neg_count, perm_b.lr_max_b,
@@ -689,9 +694,9 @@ _SPLITS: dict[Callable, Callable] = {
 def _split_at(family, n, f) -> Callable[[int], object]:
     """Random access to any registry entry f: the function of a rank r
     giving f's value at r as the sweep counts it, column[r % size] + part of
-    f's reader (_element_split) on tail r // size.  The reader runs once per
-    tail, when a rank first meets it, and its (column, part) is kept: place
-    and cycle columns are shared per head list or word, and a sorting or
+    f's reader on tail r // size (_read).  The reader runs once per tail,
+    when a rank first meets it, and its (column, part) is kept: place and
+    cycle columns are shared per head list or word, and a sorting or
     element column is the tail's own, a 16-bit array if its values are
     integers."""
     size, tails = _unrank_tables(family, n)
@@ -702,7 +707,7 @@ def _split_at(family, n, f) -> Callable[[int], object]:
         i, j = divmod(r, size)
         if read[i] is None:
             fixed, heads = tails[i]
-            read[i] = split(f, heads, fixed, cache)
+            read[i] = _read(f, split, heads, fixed, cache)
         column, part = read[i]
         return column[j] + part
 

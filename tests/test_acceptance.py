@@ -14,6 +14,12 @@ import pytest
 
 from coxcodes import harness, perm_b, perm_d, qpoly
 
+# the sweep of rank 7, which tier-1 skips for time
+ACCEPT_B7 = pytest.mark.skipif(
+    os.environ.get("COXCODES_ACCEPT_B7") != "1",
+    reason="set COXCODES_ACCEPT_B7=1 to sweep all 645120 elements of rank 7",
+)
+
 
 @contextmanager
 def criterion(num, label, budget):
@@ -64,10 +70,7 @@ def test_criterion_04_type_b_generating_function():
             ok(harness.run_check("type-b-gf", n))
 
 
-@pytest.mark.skipif(
-    os.environ.get("COXCODES_ACCEPT_B7") != "1",
-    reason="set COXCODES_ACCEPT_B7=1 to sweep all 645120 elements of rank 7",
-)
+@ACCEPT_B7
 def test_criterion_04_type_b_rank_7_optional():
     with criterion(4, "type B generating function at rank 7 (optional)", 300):
         ok(harness.run_check("type-b-gf", 7))

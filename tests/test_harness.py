@@ -16,6 +16,12 @@ from hypothesis import strategies as st
 
 from coxcodes import harness, perm_a, perm_b, perm_d, qpoly
 
+# the whole-group tests on A8, B7 and D7, which tier-1 skips for time
+ACCEPT_B7 = pytest.mark.skipif(
+    os.environ.get("COXCODES_ACCEPT_B7") != "1",
+    reason="set COXCODES_ACCEPT_B7=1 to run the tests on A8, B7 and D7",
+)
+
 
 def test_doctests():
     assert doctest.testmod(harness).failed == 0
@@ -172,10 +178,7 @@ def test_unrank_tables_match_the_decoder():
             assert_enumeration_is_unrank(family, n)
 
 
-@pytest.mark.skipif(
-    os.environ.get("COXCODES_ACCEPT_B7") != "1",
-    reason="set COXCODES_ACCEPT_B7=1 to unrank all of A8, B7 and D7",
-)
+@ACCEPT_B7
 def test_unrank_tables_match_the_decoder_on_the_largest_groups():
     for family, n in (("A", 8), ("B", 7), ("D", 7)):
         assert_enumeration_is_unrank(family, n)
@@ -196,10 +199,7 @@ def test_d_rank_is_b_rank_halved():
         assert_d_is_the_even_half_of_b(n)
 
 
-@pytest.mark.skipif(
-    os.environ.get("COXCODES_ACCEPT_B7") != "1",
-    reason="set COXCODES_ACCEPT_B7=1 to rank all of D7 in D and B",
-)
+@ACCEPT_B7
 def test_d_rank_is_b_rank_halved_on_d7():
     assert_d_is_the_even_half_of_b(7)
 
@@ -306,10 +306,7 @@ def test_split_forms_equal_their_kernels():
             assert_split_forms_equal_their_kernels(family, n)
 
 
-@pytest.mark.skipif(
-    os.environ.get("COXCODES_ACCEPT_B7") != "1",
-    reason="set COXCODES_ACCEPT_B7=1 to prove the split forms on B7 and D7",
-)
+@ACCEPT_B7
 def test_split_forms_equal_their_kernels_on_b7_and_d7():
     for family, n in (("B", 7), ("D", 7)):
         assert_split_forms_equal_their_kernels(family, n)
@@ -374,16 +371,16 @@ def test_split_readers_and_tables_at_the_cap():
 
 
 def test_a_fault_on_four_letter_tails_shows_only_at_the_cap(monkeypatch):
-    # a place-split part one too large on tails of 4 letters with a bar,
-    # which only B8 and D8 have: the whole-group proof never meets it, the
-    # sampled test at the cap does
+    # a place-split integer column with every entry after the first one too
+    # large on tails of 4 letters with a bar, which only B8 and D8 have: the
+    # whole-group proof never meets it, the sampled test at the cap does
     place_split = harness._place_split
 
     def broken(f, heads, fixed, cache):
-        column, part = place_split(f, heads, fixed, cache)
-        if len(fixed) == 4 and min(fixed) < 0 and not isinstance(part, tuple):
-            part += 1
-        return column, part
+        column = place_split(f, heads, fixed, cache)
+        if len(fixed) == 4 and min(fixed) < 0 and not isinstance(column[0], tuple):
+            column = [column[0], *(v + 1 for v in column[1:])]
+        return column
 
     for kernel, reader in list(harness._SPLITS.items()):
         if reader is place_split:
@@ -702,10 +699,7 @@ def test_verify_transport():
     assert doc["check"] == "type-a-transport"
 
 
-@pytest.mark.skipif(
-    os.environ.get("COXCODES_ACCEPT_B7") != "1",
-    reason="set COXCODES_ACCEPT_B7=1 to run the pointwise checks on B7, D7 and A8",
-)
+@ACCEPT_B7
 def test_codes_and_transport_pass_on_b7_d7_and_a8():
     # a codes check takes two tests per code pair and code, a transport
     # check one per element
@@ -974,11 +968,11 @@ def break_readers(monkeypatch, kernels, at):
     takes, 100 added, or for a set value the member 100."""
     for kernel in kernels:
         def broken(f, heads, fixed, cache, read=harness._SPLITS[kernel]):
-            column, part = read(f, heads, fixed, cache)
+            column = read(f, heads, fixed, cache)
             if at(heads, fixed):
                 column, value = list(column), column[1]
                 column[1] = value + ((100,) if isinstance(value, tuple) else 100)
-            return column, part
+            return column
 
         monkeypatch.setitem(harness._SPLITS, kernel, broken)
 
@@ -999,9 +993,9 @@ def barred_first_chain(monkeypatch, family, n):
     first = harness._unrank_tables(family, n)[1][0][0]
     cycle_tail = harness._cycle_tail
 
-    def broken(f, g, fixed):
-        part, word = cycle_tail(f, g, fixed)
-        return part, ((-word[0],) + word[1:] if fixed == first else word)
+    def broken(g, fixed):
+        word = cycle_tail(g, fixed)
+        return (-word[0],) + word[1:] if fixed == first else word
 
     monkeypatch.setattr(harness, "_cycle_tail", broken)
 
@@ -1214,17 +1208,19 @@ MUTATIONS = [
         "count": 37, "expected": 35, "rank": 194, "element": [3, 4, 2, -1]})),
     ("oracle-reflection-length-b", 4, "cycle-column-entry", (2, {
         "rank": 1, "element": [-4, 3, 2, 1], "l'_B": 103, "distance over T^B": 3})),
-    ("type-a-gf", 5, "cycle-chain-parity", (240, {
-        "groups": [["sor", "cyc"], "gf_type_a"], "key": [6, 1], "count": 7,
-        "expected": 5, "rank": 2, "element": [5, 3, 4, 2, 1]})),
+    # on A the barred letter shifts cyc alike for every head of the tail, a
+    # shift the tail part absorbs, so only Cyc's members show it
+    ("type-a-set-pairs", 5, "cycle-chain-parity", (720, {
+        "groups": [["Cyc", "Rmil"], ["Cyc", "Lmap"]], "key": [[1], [1, 2]],
+        "count": 6, "expected": 5, "rank": 26, "element": [5, 3, 4, 1, 2]})),
     ("type-b-gf", 4, "cycle-chain-parity", (768, {
-        "groups": [["sor_B", "l'_B"], "gf_type_b"], "key": [4, 3], "count": 10,
-        "expected": 9, "rank": 0, "element": [4, 3, 2, 1]})),
+        "groups": [["sor_B", "l'_B"], "gf_type_b"], "key": [6, 1], "count": 2,
+        "expected": 1, "rank": 1, "element": [-4, 3, 2, 1]})),
     ("type-b-set-pairs", 4, "cycle-chain-parity", (2304, {
-        "groups": [["Cyc_B", "Rmil_B"], ["Cyc_B", "Lmap_B"]], "key": [[], [2]],
-        "count": 13, "expected": 12, "rank": 68, "element": [3, -1, 4, 2]})),
-    ("oracle-reflection-length-b", 4, "cycle-chain-parity", (1, {
-        "rank": 0, "element": [4, 3, 2, 1], "l'_B": 3, "distance over T^B": 2})),
+        "groups": [["Cyc_B", "Rmil_B"], ["Cyc_B", "Lmap_B"]], "key": [[], []],
+        "count": 38, "expected": 37, "rank": 194, "element": [3, 4, 2, -1]})),
+    ("oracle-reflection-length-b", 4, "cycle-chain-parity", (2, {
+        "rank": 1, "element": [-4, 3, 2, 1], "l'_B": 1, "distance over T^B": 3})),
     ("type-d-mahonian", 5, "sorting-column-entry", (3840, {
         "groups": [["sor_D"], "gf_type_d_univariate"], "key": [107], "count": 1,
         "expected": 0, "rank": 1, "element": [4, 5, 3, 2, 1]})),
@@ -1493,3 +1489,32 @@ def test_a_wrapped_entry_never_reaches_a_broken_reader(
     assert column() != expected  # the break reaches the entry itself
     monkeypatch.setitem(table[family], name, lambda s: kernel(s))
     assert column() == expected
+
+
+INTEGER_SPLIT_ENTRIES = [entry for entry in SPLIT_ENTRIES
+                         if entry[1] is harness.INTEGER_STATISTICS]
+
+
+@pytest.mark.parametrize(
+    "family, table, name", INTEGER_SPLIT_ENTRIES,
+    ids=[f"{family}-{name}" for family, _, name in INTEGER_SPLIT_ENTRIES])
+def test_a_column_shifted_per_tail_still_reads_the_kernel(
+    monkeypatch, family, table, name
+):
+    # the part is read off the kernel (_read), so a reader's column need be
+    # right only up to a constant per tail: each entry shifted by the tail's
+    # index + 1, the sweep still counts the kernel's values on the group
+    n, kernel = {"A": 5, "B": 4, "D": 4}[family], table[family][name]
+    order = harness.group_order(family, n)
+    index = {fixed: i for i, (fixed, _) in enumerate(harness._unrank_tables(family, n)[1])}
+    read, shifted = harness._SPLITS[kernel], set()
+
+    def shift(f, heads, fixed, cache):
+        shifted.add(fixed)
+        return [v + index[fixed] + 1 for v in read(f, heads, fixed, cache)]
+
+    monkeypatch.setitem(harness._SPLITS, kernel, shift)
+    values = [v for _, _, (column,) in harness._blocks(family, n, [name], 0, order)
+              for v in column]
+    assert shifted == set(index)  # the shifted reader read every tail
+    assert values == list(map(kernel, harness.enumerate_group(family, n)))
