@@ -480,25 +480,30 @@ def _sweep(family, n, groups, workers) -> list[Counter]:
     the k-words is one column per word, shared by the head lists
     (_relabelled_column).
 
-    The cycle split (_cycle_split: cyc_B, Cyc_B and l'_B, which are cyc and
-    Cyc on A) reads the balanced cycles of the walk x -> |s(x)|, those whose
-    letters s(x) carry an even number of bars.  h's letters are +-v for v in
-    V, the values t leaves.  From place v the walk passes tail places until
-    it reaches a head place tau(v) <= k, meeting bars of parity pi(v); t
-    alone fixes pi and tau, a bijection V -> 1..k.  Relabel each letter +-v
-    of h as +-(-1)^pi(v) tau(v).  Each cycle of s through a head place then
-    is a cycle of the k-word w this gives, on the same head places, with the
-    same minimum (a head place) and the same parity of bars, since
-    parity(a XOR b) = parity(a + b).  The other cycles of s lie in the tail,
-    fixed by t, with minima above k.  So with c the tail's balanced cycles
-    and M their minima, cyc_B(s) = cyc_B(w) + c, Cyc_B(s) is Cyc_B(w)
-    followed by M, still increasing, and l'_B(s) = n - cyc_B(s) =
-    l'_B(w) + (n - k - c): the column, f on each head's w, is f up to the
-    tail's share.  h's w is h relabelled g_p -> word_p as above, word being
-    g's w (_cycle_tail, _relabelled_column), with no chain terms.  This
-    reads the tail's letters, never a code digit.
-    sor'_D and lt'_D (whose composite generator flips place 1, a head place)
-    have no split reader.
+    The word split (_word_split: cyc_B, Cyc_B and l'_B, which are cyc and
+    Cyc on A, and lt'_D) reads the fixed entries b_j = j of that walk's code
+    b, the B-code.  b_j = j exactly when j is the least letter of a balanced
+    cycle (the cycle walk of perm_b.bcode_b_encode), so cyc_B(s) counts the
+    fixed entries, Cyc_B(s) lists them, and l'_B(s) = n - cyc_B(s).  A chain
+    step has |b_j| <= k < j, so it is never fixed; the other steps j > k
+    depend on t alone, and steps j <= k are the walk of h's k-word w, as
+    above.  So with c the number of fixed entries j > k,
+    cyc_B(s) = cyc_B(w) + c, Cyc_B(s) is Cyc_B(w) followed by those j,
+    still increasing, and l'_B(s) = l'_B(w) + (n - k - c).
+    lt'_D(s) = n - 1 - #{j >= 2 : b_j = j}: the even walk, whose fixed
+    entries lt'_D counts, differs from the plain walk only in the sign of
+    the letter at place 1, so it has the same fixed entries j >= 2, and its
+    entry 1 is 1 exactly when the bars are even, as on every member of D.
+    h + t and g + t are both even, so h's letters differ from g's in an even
+    number of signs, every w of a D tail has the bar parity of g's, and
+    lt'_D(s) - lt'_D(w) is the same for every head.  The column is f on each
+    head's w, h relabelled g_p -> word_p as above, word being g's
+    (_sorting_tail, _relabelled_column), with no chain terms.  This reads
+    the element's walk and evaluates each kernel on k-words, never a code
+    digit, so the BFS oracles stay independent references for l'_B and
+    lt'_D.
+    sor'_D (whose composite generator flips place 1, a head place) has no
+    split reader.
     """
     order = group_order(family, n)
     _check_workers(workers)
@@ -573,15 +578,12 @@ def _read(f, split, heads, fixed, cache) -> tuple[Sequence, object]:
     return column, part
 
 
-def _element_split(f, heads, fixed, cache) -> Sequence:
-    """The column of a kernel that _SPLITS maps to no reader, such as sor'_D,
-    lt'_D and any replaced or wrapped registry entry: it is evaluated per
-    element, f on each element h + fixed of the tail.  An integer column is
-    a 16-bit array, so that _split_at, which keeps every tail's column,
-    holds two bytes an element, not a list slot.  _blocks and _split_at
-    take each kernel's reader as _SPLITS.get(f, _element_split)."""
-    column = list(map(f, map(add, heads, itertools.repeat(fixed))))
-    return column if isinstance(column[0], tuple) else array("h", column)
+def _element_split(f, heads, fixed, cache) -> list:
+    """The column of a kernel that _SPLITS maps to no reader, sor'_D and
+    any replaced or wrapped registry entry: it is evaluated per element, f
+    on each element h + fixed of the tail.  _blocks and _split_at take each
+    kernel's reader as _SPLITS.get(f, _element_split)."""
+    return list(map(f, map(add, heads, itertools.repeat(fixed))))
 
 
 def _place_split(f, heads, fixed, cache) -> Sequence:
@@ -604,7 +606,7 @@ def _relabelled_column(f, heads, word, cache) -> Sequence:
     kept, and in D place 1 flips too under a tail of odd bars, which the
     signs of g's letters tell apart.  So the relabelled list is that list
     relabelled by the k-word map that takes its first word to word, and one
-    column serves every head list with g's signs and word; the cycle and
+    column serves every head list with g's signs and word; the word and
     sorting split proofs test this.  cache keeps each column, an
     integer one as a byte array (f on a k-word lies within +-k^2), and f on
     each k-word."""
@@ -624,19 +626,27 @@ def _relabelled_column(f, heads, word, cache) -> Sequence:
     return cache[key]
 
 
+def _sorting_tail(g, fixed) -> tuple[tuple, tuple]:
+    """(code, word) of a tail: code the B-code of g + fixed
+    (perm_b._sorting_code), word the k-word, k = len(g), that its steps
+    n..k+1 leave in places 1..k, the product of code's first k entries."""
+    code = perm_b._sorting_code(g + fixed, False)[0]
+    return code, perm_b._code_product(code[:len(g)], False)
+
+
 def _sorting_split(cost, f, heads, fixed, cache) -> Sequence[int]:
     """The column of a sorting index whose barred code entry costs cost.
 
-    One walk on g + fixed, g = heads[0], leaves a k-word, word, in places
-    1..k, and steps[p - 1] is the signed count of its steps j > k at head
-    place p, the step sum S of the chain that g_p starts.  The column is f
-    on each head h relabelled (_relabelled_column) plus a chain term for
-    each place q of h: -S * q where h holds g_p, S * (q - cost) where it
-    holds -g_p.  cache also keeps, as byte arrays, the chain term per unit
-    of S for each head of a head list; the chain terms are added per tail,
-    into a fresh column kept as a 16-bit array."""
+    The tail's walk (_sorting_tail) on g + fixed, g = heads[0], leaves a
+    k-word, word, in places 1..k, and steps[p - 1] is the signed count of
+    its steps j > k at head place p, the step sum S of the chain that g_p
+    starts.  The column is f on each head h relabelled (_relabelled_column)
+    plus a chain term for each place q of h: -S * q where h holds g_p,
+    S * (q - cost) where it holds -g_p.  cache also keeps, as byte arrays,
+    the chain term per unit of S for each head of a head list; the chain
+    terms are added per tail, into a fresh column kept as a 16-bit array."""
     g, k = heads[0], len(heads[0])
-    code = perm_b._sorting_code(g + fixed, False)[0]
+    code, word = _sorting_tail(g, fixed)
     steps = [0] * k
     for c in code[k:]:
         if -k <= c <= k:
@@ -645,7 +655,6 @@ def _sorting_split(cost, f, heads, fixed, cache) -> Sequence[int]:
         at = [{x: q for q, x in enumerate(h, 1)} for h in heads]
         cache[f, g] = [array("b", [-p[x] if x in p else p[-x] - cost for p in at])
                        for x in g]
-    word = perm_b._code_product(code[:k], False)
     column = _relabelled_column(f, heads, word, cache)
     for s, unit in zip(steps, cache[f, g]):
         if s:
@@ -653,32 +662,17 @@ def _sorting_split(cost, f, heads, fixed, cache) -> Sequence[int]:
     return array("h", column) if isinstance(column, list) else column
 
 
-def _cycle_split(f, heads, fixed, cache) -> Sequence:
-    """The column of a cycle kernel: f on each head relabelled by the word
-    of the tail's cycle walk (_cycle_tail, _relabelled_column)."""
-    return _relabelled_column(f, heads, _cycle_tail(heads[0], fixed), cache)
-
-
-def _cycle_tail(g, fixed) -> tuple:
-    """The word of a tail: word_p is +-q, q being the head place where the
-    cycle walk x -> |s(x)| on g + fixed, leaving head place p, first returns
-    to the head, barred when g_p and the tail letters it passed carry an odd
-    number of bars."""
-    k = len(g)
-    word = []
-    for x in g:
-        y, bars = abs(x), x < 0
-        while y > k:  # a tail place: its letter leads on
-            x = fixed[y - k - 1]
-            y, bars = abs(x), bars ^ (x < 0)
-        word.append(-y if bars else y)
-    return tuple(word)
+def _word_split(f, heads, fixed, cache) -> Sequence:
+    """The column of a fixed-entry kernel: f on each head relabelled by the
+    tail's word (_sorting_tail, _relabelled_column)."""
+    return _relabelled_column(f, heads, _sorting_tail(heads[0], fixed)[1], cache)
 
 
 # each kernel whose split form is proven (see _sweep) -> its reader, called
 # as reader(f, heads, fixed, cache) for a column that is f up to a constant
 # per tail, to which _read adds the part; sor, cyc and Cyc of A are sor_b,
-# cyc_b and cyc_b_set, and any other kernel is read by _element_split
+# cyc_b and cyc_b_set, and any other kernel, sor'_D among them, is read by
+# _element_split
 _SPLITS: dict[Callable, Callable] = {
     **dict.fromkeys((
         perm_a.inv, perm_b.inv_b, perm_d.inv_d, perm_b.neg_count, perm_b.lr_max_b,
@@ -686,8 +680,8 @@ _SPLITS: dict[Callable, Callable] = {
         perm_b.lmap_b_set, perm_b.rmil_b_set), _place_split),
     perm_b.sor_b: partial(_sorting_split, 1),
     perm_d.sor_d: partial(_sorting_split, 2),
-    **dict.fromkeys(
-        (perm_b.cyc_b, perm_b.cyc_b_set, perm_b.reflection_length_b), _cycle_split),
+    **dict.fromkeys((perm_b.cyc_b, perm_b.cyc_b_set, perm_b.reflection_length_b,
+                     perm_d.reflection_length_d), _word_split),
 }
 
 
@@ -696,9 +690,8 @@ def _split_at(family, n, f) -> Callable[[int], object]:
     giving f's value at r as the sweep counts it, column[r % size] + part of
     f's reader on tail r // size (_read).  The reader runs once per tail,
     when a rank first meets it, and its (column, part) is kept: place and
-    cycle columns are shared per head list or word, and a sorting or
-    element column is the tail's own, a 16-bit array if its values are
-    integers."""
+    word columns are shared per head list or word, and a sorting or
+    element column is the tail's own."""
     size, tails = _unrank_tables(family, n)
     split, cache = _SPLITS.get(f, _element_split), {}
     read: list = [None] * len(tails)
@@ -919,18 +912,29 @@ def generating_set(family: str, n: int, name: str) -> tuple[tuple[int, ...], ...
     return tuple(apply(ident, a, j) for a, j in _GENERATOR_PAIRS[name](n))
 
 
-@lru_cache(maxsize=None)
 def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]:
-    """Distances from the identity in the Cayley graph, indexed by rank.
+    """Distances from the identity in the Cayley graph, indexed by rank, by
+    a breadth-first search over the whole group (_cayley_distance_table)
+    that refuses orders above 100000 elements and is cached per argument
+    triple.  The arguments are checked before the cache is consulted: the
+    cache would hash an unhashable one, and it keys n = 3.0 and True as 3
+    and 1."""
+    check_group(family, n)
+    _check_set_name(family, set_name)
+    return _cayley_distance_table(family, n, set_name)
 
-    Breadth-first search over the whole group; refuses orders above
-    100000 elements.  A step by g takes s to g^-1 s: each letter x of s
-    maps to g^-1(x), one lookup in a table of g^-1 indexed by signed letter
-    (a barred letter indexes from the end), all n read at once by an
-    itemgetter over s.  Each image is ranked by its two halves
-    (_rank_tables), so no element is composed or encoded per edge.  A depth
-    is the word length over the generators' inverses, the same as over the
-    generators because every generating set is closed under inversion.
+
+@lru_cache(maxsize=None)
+def _cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]:
+    """The search behind cayley_distance_table, on arguments it checked.
+
+    A step by g takes s to g^-1 s: each letter x of s maps to g^-1(x), one
+    lookup in a table of g^-1 indexed by signed letter (a barred letter
+    indexes from the end), all n read at once by an itemgetter over s.  Each
+    image is ranked by its two halves (_rank_tables), so no element is
+    composed or encoded per edge.  A depth is the word length over the
+    generators' inverses, the same as over the generators because every
+    generating set is closed under inversion.
     Distances are kept in a rank-indexed bytearray (255 = not reached yet),
     which holds the diameters of every group the limit admits (at most
     n^2 = 36, for S^B on B6).
@@ -970,6 +974,12 @@ def cayley_distance_table(family: str, n: int, set_name: str) -> tuple[int, ...]
     return tuple(dist)
 
 
+# cayley_distance_table keeps the lru_cache interface: cache_clear empties
+# the cache, and __wrapped__ is the search without it
+cayley_distance_table.cache_clear = _cayley_distance_table.cache_clear
+cayley_distance_table.__wrapped__ = _cayley_distance_table.__wrapped__
+
+
 def cayley_distance(
     family: str, n: int, set_name: str, element: Sequence[int]
 ) -> int:
@@ -980,7 +990,6 @@ def cayley_distance(
     1
     """
     r = rank(family, n, element)
-    _check_set_name(family, set_name)  # before the cache hashes the name
     return cayley_distance_table(family, n, set_name)[r]
 
 

@@ -262,7 +262,7 @@ SPLIT_NAMES = {
     "A": {"inv", "rl-min", "lr-max", "nmin", "Lmap", "Rmil", "sor", "cyc", "Cyc"},
     "B": {"inv_B", "nmin_B", "nmax_B", "rl-min_B", "lr-max_B", "N", "Lmap_B",
           "Rmil_B", "sor_B", "cyc_B", "Cyc_B", "l'_B"},
-    "D": {"inv_D", "nmin_D", "N", "sor_D"},
+    "D": {"inv_D", "nmin_D", "N", "sor_D", "lt'_D"},
 }
 SPLIT_KERNELS = set(harness._SPLITS)
 
@@ -317,7 +317,7 @@ def test_split_at_reads_the_sweep_columns_at_every_rank(monkeypatch):
     # through _split_at; every registry entry's value there is _blocks's, in
     # an order of ranks that meets the tails out of turn.  The entries are
     # the registries' and a wrapped integer and set entry, which, like
-    # sor'_D and lt'_D, have no split reader
+    # sor'_D, have no split reader
     for family, ns in (("A", range(1, 7)), ("B", range(1, 6)), ("D", range(2, 6))):
         inv = next(iter(harness.INTEGER_STATISTICS[family].values()))
         monkeypatch.setitem(harness.INTEGER_STATISTICS[family], "wrapped",
@@ -329,7 +329,7 @@ def test_split_at_reads_the_sweep_columns_at_every_rank(monkeypatch):
         )
         names = sorted(stats)
         assert set(names) - SPLIT_NAMES[family] == {"wrapped", "Wrapped"} | (
-            {"sor'_D", "lt'_D"} if family == "D" else set())
+            {"sor'_D"} if family == "D" else set())
         for n in ns:
             order = harness.group_order(family, n)
             columns = [[] for _ in names]
@@ -412,6 +412,24 @@ def test_cycle_statistics_match_the_signed_cycle_decomposition():
                                 "Cyc": minima, "Cyc_B": minima, "l'_B": n - len(minima)}
                     for name, value in zip(names, values):
                         assert value == stats[name](s) == expected[name], (name, s)
+
+
+def test_a_d_sweep_reads_lt_d_off_the_walk(monkeypatch):
+    # lt'_D's kernel runs the even walk (perm_b._sorting_code with even
+    # set); the sweep reads it off the sorting walk's word, so the kernel
+    # runs once per tail, for the part, and once per k-word, not once per
+    # element
+    walk, evens = perm_b._sorting_code, []
+
+    def counted(s, even):
+        evens.append(even)
+        return walk(s, even)
+
+    monkeypatch.setattr(perm_b, "_sorting_code", counted)
+    assert harness.run_check("type-d-bivariate", 6).passed
+    tails = harness._unrank_tables("D", 6)[1]
+    k = len(tails[0][1][0])
+    assert evens.count(True) <= len(tails) + 2 ** k * math.factorial(k)
 
 
 def test_enumerate_group_refuses_non_integer_bounds():
@@ -857,6 +875,22 @@ def test_bfs_refuses_large_groups():
         harness.cayley_distance_table("B", 7, "T^B")
 
 
+@pytest.mark.parametrize("args", [
+    ("B", 3.0, "T^B"), ("B", True, "S^B"), (["B"], 3, "T^B"), ("B", 3, ["T^B"]),
+], ids=["float-n", "bool-n", "list-family", "list-set-name"])
+def test_bfs_refuses_bad_arguments_whatever_the_cache_holds(args):
+    # the arguments are checked before the cache is consulted, so a cached
+    # table of equal-hashing arguments (3 for 3.0, 1 for True) is not given
+    # back, and an unhashable one is refused as a bad one, not hashed
+    for warm in (False, True):
+        harness.cayley_distance_table.cache_clear()
+        if warm:
+            harness.cayley_distance_table("B", 3, "T^B")
+            harness.cayley_distance_table("B", 1, "S^B")
+        with pytest.raises(ValueError):
+            harness.cayley_distance_table(*args)
+
+
 def test_verify_report_constructor():
     by_place = harness.VerifyReport("c", "B", 3, True, 48)
     by_name = harness.VerifyReport(
@@ -988,16 +1022,16 @@ def broken_entry(*kernels, tail_only=False):
 
 
 def barred_first_chain(monkeypatch, family, n):
-    # under the first tail, the chain that leaves head place 1 gains one bar,
-    # so its letter is barred in the relabelling
+    # under the first tail, the walk's word gains one bar at place 1, so the
+    # head letter it relabels is barred in the relabelling
     first = harness._unrank_tables(family, n)[1][0][0]
-    cycle_tail = harness._cycle_tail
+    sorting_tail = harness._sorting_tail
 
     def broken(g, fixed):
-        word = cycle_tail(g, fixed)
-        return (-word[0],) + word[1:] if fixed == first else word
+        code, word = sorting_tail(g, fixed)
+        return code, (-word[0],) + word[1:] if fixed == first else word
 
-    monkeypatch.setattr(harness, "_cycle_tail", broken)
+    monkeypatch.setattr(harness, "_sorting_tail", broken)
 
 
 def wrong_at(monkeypatch, family, stat, target, wrong):
@@ -1119,7 +1153,8 @@ MUTANTS = {
     "rmil-b-split-entry": broken_entry(perm_b.rmil_b_set),
     "lmap-b-split-entry": broken_entry(perm_b.lmap_b_set),
     "cycle-column-entry": broken_entry(
-        perm_b.cyc_b, perm_b.cyc_b_set, perm_b.reflection_length_b),
+        perm_b.cyc_b, perm_b.cyc_b_set, perm_b.reflection_length_b,
+        perm_d.reflection_length_d),
     "cycle-chain-parity": barred_first_chain,
     "sorting-column-entry": broken_entry(perm_b.sor_b, perm_d.sor_d, tail_only=True),
     # a statistic's registry entry, wrong on one element
@@ -1208,14 +1243,19 @@ MUTATIONS = [
         "count": 37, "expected": 35, "rank": 194, "element": [3, 4, 2, -1]})),
     ("oracle-reflection-length-b", 4, "cycle-column-entry", (2, {
         "rank": 1, "element": [-4, 3, 2, 1], "l'_B": 103, "distance over T^B": 3})),
+    ("type-d-bivariate", 4, "cycle-column-entry", (384, {
+        "groups": [["sor_D", "lt'_D"], "gf_type_d_bivariate"], "key": [4, 102],
+        "count": 1, "expected": 0, "rank": 25, "element": [3, 4, 1, 2]})),
+    ("oracle-reflection-length-d", 4, "cycle-column-entry", (2, {
+        "rank": 1, "element": [3, 4, 2, 1], "lt'_D": 103, "distance over T^D": 3})),
     # on A the barred letter shifts cyc alike for every head of the tail, a
     # shift the tail part absorbs, so only Cyc's members show it
     ("type-a-set-pairs", 5, "cycle-chain-parity", (720, {
         "groups": [["Cyc", "Rmil"], ["Cyc", "Lmap"]], "key": [[1], [1, 2]],
         "count": 6, "expected": 5, "rank": 26, "element": [5, 3, 4, 1, 2]})),
     ("type-b-gf", 4, "cycle-chain-parity", (768, {
-        "groups": [["sor_B", "l'_B"], "gf_type_b"], "key": [6, 1], "count": 2,
-        "expected": 1, "rank": 1, "element": [-4, 3, 2, 1]})),
+        "groups": [["sor_B", "l'_B"], "gf_type_b"], "key": [4, 1], "count": 3,
+        "expected": 2, "rank": 1, "element": [-4, 3, 2, 1]})),
     ("type-b-set-pairs", 4, "cycle-chain-parity", (2304, {
         "groups": [["Cyc_B", "Rmil_B"], ["Cyc_B", "Lmap_B"]], "key": [[], []],
         "count": 38, "expected": 37, "rank": 194, "element": [3, 4, 2, -1]})),
@@ -1238,6 +1278,9 @@ MUTATIONS = [
         "rank": 9, "element": [-4, 2, 3, 1], "image": [-4, 3, 1, -2],
         "statistic": "Rmil_B -> Cyc_B", "source_value": [1],
         "image_value": [1, 100]})),
+    ("type-d-transport", 4, "cycle-column-entry", (2, {
+        "rank": 1, "element": [3, 4, 2, 1], "image": [3, 4, 2, 1],
+        "statistic": "nmin_D -> lt'_D", "source_value": 3, "image_value": 103})),
     # statistic mutants
     ("type-a-gf", 4, "rl-min-off-at-middle", (48, {
         "groups": [["inv", "rl-min"], "gf_type_a"], "key": [3, 3], "count": 2,

@@ -264,6 +264,13 @@ def test_statistics_from_codes_exhaustive():
             assert perm_d.reflection_length_d(s) == n - sum(
                 1 for r, fr in enumerate(f, 1) if fr == r
             )
+            # the identity the sweep's lt'_D reader rests on: the fixed
+            # entries j >= 2 of the B-code, read by the cycle walk of
+            # bcode_b_encode, not by the selection-sort walk
+            b = perm_b.bcode_b_encode(s)
+            assert perm_d.reflection_length_d(s) == n - 1 - sum(
+                1 for j, bj in enumerate(b, 1) if j >= 2 and bj == j
+            )
 
 
 def test_rho_transport_exhaustive():
