@@ -287,8 +287,7 @@ def enumerate_group(
             raise ValueError(f"rank bound {bound!r} is not an integer")
     if not 0 <= start <= stop <= order:
         raise ValueError(f"bad range [{start}, {stop}) for order {order}")
-    return (el for _, block, _ in _blocks(family, n, (), start, stop, True)
-            for el in block)
+    return (el for _, block, _ in _blocks(family, n, (), start, stop) for el in block)
 
 
 # registry order is the order `coxcodes stats` prints, integer then set
@@ -542,28 +541,40 @@ def _sweep_range(family, n, names, places, start, stop) -> list[Counter]:
     return counts
 
 
-def _blocks(family, n, names, start, stop, elements=False
-            ) -> Iterator[tuple[int, list | None, list]]:
+def _blocks(family, n, names, start, stop) -> Iterator[tuple[int, Iterator, list]]:
     """The one walk over the unrank tables: for each tail that the ranks
     start..stop-1 meet, in rank order, (r, block, columns), where r is the
-    rank of the tail's first element in the range, block its elements there
-    (heads[lo:hi] joined to fixed) if elements is set, else None, and
+    rank of the tail's first element in the range, block a lazy map joining
+    its heads there, heads[lo:hi], to fixed, which a sweep never reads, and
     columns each named statistic's values on them, its reader's head column
-    plus tail part (_read), as the sweep counts them.  A block holds at most
-    the head-code count of elements."""
+    plus tail part (_tail_reader), as the sweep counts them.  A block holds
+    at most the head-code count of elements."""
     size, tails = _unrank_tables(family, n)
-    stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
-    readers = [(f, _SPLITS.get(f, _element_split)) for f in map(stats.get, names)]
-    cache: dict = {}  # what the readers keep across tails, keyed per kernel
+    read = _tail_reader(family, n, names)
     for i in range(start // size, -(-stop // size)):
         fixed, heads = tails[i]
         lo, hi = max(start - i * size, 0), min(stop - i * size, size)
-        block = list(map(add, heads[lo:hi], itertools.repeat(fixed))) if elements else None
-        columns = []
-        for f, split in readers:
-            column, part = _read(f, split, heads, fixed, cache)
-            columns.append(list(map(add, column[lo:hi], itertools.repeat(part))))
-        yield i * size + lo, block, columns
+        columns = [list(map(add, c[lo:hi], itertools.repeat(p))) for c, p in read(i)]
+        yield i * size + lo, map(add, heads[lo:hi], itertools.repeat(fixed)), columns
+
+
+def _tail_reader(family, n, names) -> Callable[[int], list]:
+    """The function of a tail index i giving each named statistic's
+    (column, part) on tail i (_read), the one place where a kernel's reader
+    is chosen, as _SPLITS.get(f, _element_split).  Its readers share one
+    cache across tails, so the sorting and word readers share the tail's
+    walk (_sorting_tail) and the per-list and per-word columns."""
+    tails = _unrank_tables(family, n)[1]
+    stats = _statistics(family, INTEGER_STATISTICS, SET_STATISTICS)
+    readers = [(f, _SPLITS.get(f, _element_split)) for f in map(stats.get, names)]
+    cache: dict = {}  # what the readers keep across tails, keyed per kernel,
+    # and the last tail's walk (_sorting_tail)
+
+    def read(i):
+        fixed, heads = tails[i]
+        return [_read(f, split, heads, fixed, cache) for f, split in readers]
+
+    return read
 
 
 def _read(f, split, heads, fixed, cache) -> tuple[Sequence, object]:
@@ -626,12 +637,17 @@ def _relabelled_column(f, heads, word, cache) -> Sequence:
     return cache[key]
 
 
-def _sorting_tail(g, fixed) -> tuple[tuple, tuple]:
+def _sorting_tail(g, fixed, cache) -> tuple[tuple, tuple]:
     """(code, word) of a tail: code the B-code of g + fixed
     (perm_b._sorting_code), word the k-word, k = len(g), that its steps
-    n..k+1 leave in places 1..k, the product of code's first k entries."""
-    code = perm_b._sorting_code(g + fixed, False)[0]
-    return code, perm_b._code_product(code[:len(g)], False)
+    n..k+1 leave in places 1..k, the product of code's first k entries.
+    cache keeps the last tail's, so every walk reader of a tail shares one
+    walk."""
+    if cache.get(_sorting_tail, (None,))[0] != (g, fixed):
+        code = perm_b._sorting_code(g + fixed, False)[0]
+        word = perm_b._code_product(code[:len(g)], False)
+        cache[_sorting_tail] = (g, fixed), code, word
+    return cache[_sorting_tail][1:]
 
 
 def _sorting_split(cost, f, heads, fixed, cache) -> Sequence[int]:
@@ -646,7 +662,7 @@ def _sorting_split(cost, f, heads, fixed, cache) -> Sequence[int]:
     the chain term per unit of S for each head of a head list; the chain
     terms are added per tail, into a fresh column kept as a 16-bit array."""
     g, k = heads[0], len(heads[0])
-    code, word = _sorting_tail(g, fixed)
+    code, word = _sorting_tail(g, fixed, cache)
     steps = [0] * k
     for c in code[k:]:
         if -k <= c <= k:
@@ -665,7 +681,7 @@ def _sorting_split(cost, f, heads, fixed, cache) -> Sequence[int]:
 def _word_split(f, heads, fixed, cache) -> Sequence:
     """The column of a fixed-entry kernel: f on each head relabelled by the
     tail's word (_sorting_tail, _relabelled_column)."""
-    return _relabelled_column(f, heads, _sorting_tail(heads[0], fixed)[1], cache)
+    return _relabelled_column(f, heads, _sorting_tail(heads[0], fixed, cache)[1], cache)
 
 
 # each kernel whose split form is proven (see _sweep) -> its reader, called
@@ -685,26 +701,22 @@ _SPLITS: dict[Callable, Callable] = {
 }
 
 
-def _split_at(family, n, f) -> Callable[[int], object]:
-    """Random access to any registry entry f: the function of a rank r
-    giving f's value at r as the sweep counts it, column[r % size] + part of
-    f's reader on tail r // size (_read).  The reader runs once per tail,
-    when a rank first meets it, and its (column, part) is kept: place and
-    word columns are shared per head list or word, and a sorting or
-    element column is the tail's own."""
-    size, tails = _unrank_tables(family, n)
-    split, cache = _SPLITS.get(f, _element_split), {}
-    read: list = [None] * len(tails)
+def _split_at(family, n, names) -> Callable[[int], list]:
+    """Random access to the named statistics, canonical names of any
+    registry entries: the function of a rank r giving their values at r as
+    the sweep counts them, column[r % size] + part of each one's reader on
+    tail r // size (_tail_reader).  The readers run once per tail, when a
+    rank first meets it, and its (column, part) list is kept: place and word
+    columns are shared per head list or word, and a sorting or element
+    column is the tail's own."""
+    size = _unrank_tables(family, n)[0]
+    read = lru_cache(maxsize=None)(_tail_reader(family, n, names))
 
-    def value(r):
+    def values(r):
         i, j = divmod(r, size)
-        if read[i] is None:
-            fixed, heads = tails[i]
-            read[i] = _read(f, split, heads, fixed, cache)
-        column, part = read[i]
-        return column[j] + part
+        return [column[j] + part for column, part in read(i)]
 
-    return value
+    return values
 
 
 def _plain(value):
@@ -763,7 +775,7 @@ def _scan(family, n, case, details=None, names=()) -> VerifyReport:
     run_check alone names a report."""
     checked = 0
     order = group_order(family, n)
-    for first, block, columns in _blocks(family, n, names, 0, order, True):
+    for first, block, columns in _blocks(family, n, names, 0, order):
         rows = zip(*columns) if names else itertools.repeat(())
         for r, el, values in zip(itertools.count(first), block, rows):
             for fault in case(r, el, values):
@@ -832,7 +844,7 @@ def _check_transport(bijection, n, workers=1):
     pairs = _transport_pairs(bijection)
     member = _MEMBERS[family]
     k, head, tail = _rank_tables(family, n)
-    reads = [_split_at(family, n, fb) for *_, fb in pairs]
+    read = _split_at(family, n, [b for _, b, *_ in pairs])
 
     def case(r, el, values):
         image = func(el)
@@ -847,8 +859,8 @@ def _check_transport(bijection, n, workers=1):
                 fault = {"inverse": list(back), "reason": "inverse mismatch"}
         else:
             at = head[tuple(image[:k])] + tail[tuple(image[k:])]
-            for (a, b, _, _), read, va in zip(pairs, reads, values):
-                if va != (vb := read(at)):
+            for (a, b, _, _), va, vb in zip(pairs, values, read(at)):
+                if va != vb:
                     fault = {"statistic": f"{a} -> {b}",
                              "source_value": _plain(va),
                              "image_value": _plain(vb)}

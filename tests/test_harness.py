@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 from collections import Counter
 from functools import cache, partial
 from pathlib import Path
@@ -313,11 +314,13 @@ def test_split_forms_equal_their_kernels_on_b7_and_d7():
 
 
 def test_split_at_reads_the_sweep_columns_at_every_rank(monkeypatch):
-    # the image side of a transport check reads a statistic at a rank
+    # the image side of a transport check reads its statistics at a rank
     # through _split_at; every registry entry's value there is _blocks's, in
     # an order of ranks that meets the tails out of turn.  The entries are
     # the registries' and a wrapped integer and set entry, which, like
-    # sor'_D, have no split reader
+    # sor'_D, have no split reader, all read through one _split_at, so
+    # their readers share one cache and a key that two of them collide on
+    # shows
     for family, ns in (("A", range(1, 7)), ("B", range(1, 6)), ("D", range(2, 6))):
         inv = next(iter(harness.INTEGER_STATISTICS[family].values()))
         monkeypatch.setitem(harness.INTEGER_STATISTICS[family], "wrapped",
@@ -336,10 +339,10 @@ def test_split_at_reads_the_sweep_columns_at_every_rank(monkeypatch):
             for _, _, values in harness._blocks(family, n, names, 0, order):
                 for column, v in zip(columns, values):
                     column.extend(v)
-            for name, column in zip(names, columns):
-                value = harness._split_at(family, n, stats[name])
-                got = [value(r) for r in reversed(range(order))][::-1]
-                assert got == column, (family, n, name)
+            at = harness._split_at(family, n, names)
+            got = [at(r) for r in reversed(range(order))][::-1]
+            for name, column, values in zip(names, columns, zip(*got)):
+                assert list(values) == column, (family, n, name)
 
 
 # the groups at the rank cap and one below it in B and D, where tier-1 proves
@@ -349,8 +352,9 @@ CAP_GROUPS = (("A", 9), ("B", 7), ("B", 8), ("D", 7), ("D", 8))
 
 def assert_sampled_ranks_read_their_kernels(family, n):
     """At 200 ranks drawn with a fixed seed, the unrank tables give the
-    decoder's element and every registry entry's _split_at gives its
-    kernel's value on that element."""
+    decoder's element and _split_at, reading every registry entry in one
+    call and so through one cache, gives each entry's kernel's value on
+    that element."""
     size, tails = harness._unrank_tables(family, n)
     ranks = random.Random(2026).sample(range(harness.group_order(family, n)), 200)
     elements = [harness.unrank(family, n, r) for r in ranks]
@@ -360,9 +364,10 @@ def assert_sampled_ranks_read_their_kernels(family, n):
     stats = harness._statistics(
         family, harness.INTEGER_STATISTICS, harness.SET_STATISTICS
     )
-    for name, f in stats.items():
-        value = harness._split_at(family, n, f)
-        assert [value(r) for r in ranks] == list(map(f, elements)), (family, n, name)
+    at = harness._split_at(family, n, list(stats))
+    got = [at(r) for r in ranks]
+    for (name, f), column in zip(stats.items(), zip(*got)):
+        assert list(column) == list(map(f, elements)), (family, n, name)
 
 
 def test_split_readers_and_tables_at_the_cap():
@@ -404,7 +409,7 @@ def test_cycle_statistics_match_the_signed_cycle_decomposition():
         )
         for n in ns:
             order = harness.group_order(family, n)
-            for _, block, columns in harness._blocks(family, n, names, 0, order, True):
+            for _, block, columns in harness._blocks(family, n, names, 0, order):
                 for s, values in zip(block, zip(*columns)):
                     minima = tuple(c.values[0] for c in
                                    perm_b.signed_cycle_decomposition(s) if c.balanced)
@@ -418,7 +423,10 @@ def test_a_d_sweep_reads_lt_d_off_the_walk(monkeypatch):
     # lt'_D's kernel runs the even walk (perm_b._sorting_code with even
     # set); the sweep reads it off the sorting walk's word, so the kernel
     # runs once per tail, for the part, and once per k-word, not once per
-    # element
+    # element.  The plain walk, which the sorting and word readers share,
+    # runs once per tail for them and once for a kernel's part, plus once
+    # per k-word: in a B sweep of sor_B and l'_B, and on the image side of
+    # a transport check, which reads sor_B and Cyc_B at ranks out of turn
     walk, evens = perm_b._sorting_code, []
 
     def counted(s, even):
@@ -430,6 +438,30 @@ def test_a_d_sweep_reads_lt_d_off_the_walk(monkeypatch):
     tails = harness._unrank_tables("D", 6)[1]
     k = len(tails[0][1][0])
     assert evens.count(True) <= len(tails) + 2 ** k * math.factorial(k)
+    tails = harness._unrank_tables("B", 6)[1]
+    k = len(tails[0][1][0])
+    for check in ("type-b-gf", "type-b-transport"):
+        evens.clear()
+        assert harness.run_check(check, 6).passed
+        walks = evens.count(False)
+        assert walks <= 2 * len(tails) + 2 ** k * math.factorial(k), (check, walks)
+
+
+def test_a_walk_kept_past_its_tail_shows(monkeypatch):
+    # the sorting and word readers share each tail's walk (_sorting_tail);
+    # a walk kept for the first tail of each head list, and not for each
+    # tail, relabels every later tail's heads by a stale word, which the
+    # whole-group proof catches on the first walk reader it reads
+    sorting_tail = harness._sorting_tail
+
+    def kept(g, fixed, cache):
+        return sorting_tail(g, cache.setdefault((kept, g), fixed), cache)
+
+    monkeypatch.setattr(harness, "_sorting_tail", kept)
+    for family, n, name in (("A", 5, "Cyc"), ("B", 4, "Cyc_B"), ("D", 4, "lt'_D")):
+        where = re.escape(repr((family, n, name, 0)))
+        with pytest.raises(AssertionError, match=where):
+            assert_split_forms_equal_their_kernels(family, n)
 
 
 def test_enumerate_group_refuses_non_integer_bounds():
@@ -1027,8 +1059,8 @@ def barred_first_chain(monkeypatch, family, n):
     first = harness._unrank_tables(family, n)[1][0][0]
     sorting_tail = harness._sorting_tail
 
-    def broken(g, fixed):
-        code, word = sorting_tail(g, fixed)
+    def broken(g, fixed, cache):
+        code, word = sorting_tail(g, fixed, cache)
         return code, (-word[0],) + word[1:] if fixed == first else word
 
     monkeypatch.setattr(harness, "_sorting_tail", broken)
